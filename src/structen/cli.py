@@ -19,7 +19,6 @@ from .learning import (DataSpace, FeatureCatalog, FeatureSet, abstraction_tree,
 from .metrics import info_report
 from .optimize import brute_force_2d, brute_force_kd, minimize_kd
 from .tree import deserialize, format_path, serialize
-from . import learning
 
 
 def _fmt(x: float) -> str:
@@ -117,9 +116,9 @@ def _space_from_doc(doc) -> DataSpace:
     g = Graph(doc["vertices"], [tuple(e) for e in doc["edges"]])
     decoder = deserialize(g, doc["decoder"])
     catalog = FeatureCatalog.from_dict(doc["catalog"])
-    return learning._derive(g, decoder, catalog, int(doc["construction_k"]),
-                            int(doc["height"]), (),
-                            str(doc.get("abstraction_source", "syntax")))
+    return DataSpace.from_decoder(g, decoder, catalog, int(doc["construction_k"]),
+                                  int(doc["height"]), (),
+                                  str(doc.get("abstraction_source", "syntax")))
 
 
 def cmd_insert(args) -> int:

@@ -29,7 +29,7 @@ class Graph:
 
     `degree[v]` is the weighted degree of vertex v and `volume` is the sum
     of all degrees (2m for unit weights).  Construction validates every
-    invariant: no self-loops, no duplicate edges, positive weights, at
+    invariant: no self-loops, no duplicate edges, positive finite weights, at
     least one edge, and a single connected component.
     """
 
@@ -57,6 +57,8 @@ class Graph:
                 raise InvariantViolation(f"self-loop at vertex {u_id!r}")
             if not w > 0:
                 raise InvariantViolation(f"non-positive weight on edge {u_id!r}-{v_id!r}")
+            if w == math.inf:
+                raise InvariantViolation(f"non-finite weight on edge {u_id!r}-{v_id!r}")
             if v in adj[u]:
                 raise InvariantViolation(f"duplicate edge {u_id!r}-{v_id!r}")
             adj[u][v] = w
@@ -69,6 +71,8 @@ class Graph:
         self.edges = tuple(edge_list)
         self.degree = tuple(sum(nbrs.values()) for nbrs in adj)
         self.volume = sum(self.degree)
+        if self.volume == math.inf:
+            raise InvariantViolation("graph volume overflows to inf")
 
         if 0.0 in self.degree or not self._connected():
             raise InvariantViolation("graph is disconnected")
@@ -165,7 +169,7 @@ def subset_volume(g: Graph, s) -> float:
 def conductance_subset(g: Graph, s) -> float:
     """cut(s) divided by the volume of the lighter side."""
     s = _check_subset(g, s)
-    cut = sum(w for u, v, w in g.edges if (u in s) != (v in s))
+    cut = cut_weight(g, s)
     vol_s = subset_volume(g, s)
     return cut / min(vol_s, g.volume - vol_s)
 
@@ -235,6 +239,8 @@ def _check_similarity(sim) -> np.ndarray:
         raise InvariantViolation("similarity matrix must be square")
     if a.shape[0] < 2:
         raise InvariantViolation("similarity matrix needs at least 2 rows")
+    if not np.isfinite(a).all():
+        raise InvariantViolation("similarity matrix has a non-finite entry")
     if np.abs(a - a.T).max() > _SYMMETRY_TOL:
         raise InvariantViolation("similarity matrix is not symmetric")
     off = a - np.diag(np.diag(a))
@@ -263,7 +269,14 @@ def build_topk_graph(sim, k: int, ids: Sequence[str] | None = None) -> Graph:
     n = np.asarray(sim).shape[0]
     if not 1 <= k <= len(pairs):
         raise InvariantViolation(f"k={k} but only {len(pairs)} positive pairs are available")
-    chosen = pairs[:k]
+    k_min = smallest_connected(n, pairs)
+    if k_min is None or k < k_min:
+        raise InvariantViolation(f"top-{k} graph is disconnected (k too small)")
+    return Graph.from_index_edges(n, [(i, j, w) for w, i, j in pairs[:k]], ids=ids)
+
+
+def smallest_connected(n: int, pairs) -> int | None:
+    """Smallest count of leading (w, i, j) pairs joining all n vertices, by union-find."""
     parent = list(range(n))
 
     def find(x):
@@ -272,18 +285,22 @@ def build_topk_graph(sim, k: int, ids: Sequence[str] | None = None) -> Graph:
             x = parent[x]
         return x
 
-    for _, i, j in chosen:
-        parent[find(i)] = find(j)
-    if len({find(i) for i in range(n)}) != 1:
-        raise InvariantViolation(f"top-{k} graph is disconnected (k too small)")
-    return Graph.from_index_edges(n, [(i, j, w) for w, i, j in chosen], ids=ids)
+    components = n
+    for k, (_, i, j) in enumerate(pairs, start=1):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            components -= 1
+            if components == 1:
+                return k
+    return None
 
 
 def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a symmetric similarity matrix: first row and column are identifiers.
 
-    The diagonal is ignored (zeroed).  Asymmetry, negative entries and shape
-    problems are parse errors.
+    The diagonal is ignored (zeroed).  Non-finite cells, asymmetry, negative
+    entries and shape problems are parse errors.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -303,7 +320,9 @@ def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
             try:
                 values[r, c] = float(cell)
             except ValueError:
-                raise GraphParseError(f"{path}: row {r + 2}: bad number {cell!r}") from None
+                values[r, c] = math.nan
+            if not math.isfinite(values[r, c]):
+                raise GraphParseError(f"{path}: row {r + 2}: bad number {cell!r}")
     if np.abs(values - values.T).max() > _SYMMETRY_TOL:
         raise GraphParseError(f"{path}: similarity matrix is not symmetric")
     np.fill_diagonal(values, 0.0)

@@ -10,15 +10,16 @@ local entropy-driven re-fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import GraphParseError, InvariantViolation
-from .graph import Graph, build_topk_graph, one_dim_entropy, positive_pairs
+from .graph import Graph, one_dim_entropy, positive_pairs, smallest_connected
 from .metrics import structural_entropy
-from .optimize import decoding_info_k, minimize_kd
+from .optimize import minimize_kd
 from .tree import EncodingTree, TreeNode, codeword, refresh_stats
 
 
@@ -253,13 +254,15 @@ class DataSpace:
     sweep: tuple[tuple[int, float], ...] = ()
     abstraction_source: str = "syntax"
 
-
-def _derive(g: Graph, decoder: EncodingTree, catalog: FeatureCatalog,
-            construction_k: int, height: int, sweep, source: str) -> DataSpace:
-    kt = knowledge_tree(g, decoder, catalog, source="all")
-    at = abstraction_tree(knowledge_tree(g, decoder, catalog, source=source))
-    return DataSpace(g, decoder, kt, at, catalog, construction_k, height,
-                     tuple(sweep), source)
+    @classmethod
+    def from_decoder(cls, g: Graph, decoder: EncodingTree, catalog: FeatureCatalog,
+                     construction_k: int, height: int, sweep=(),
+                     abstraction_source: str = "syntax") -> "DataSpace":
+        """Space over a given graph and decoder; the feature trees are derived."""
+        kt = knowledge_tree(g, decoder, catalog, source="all")
+        at = abstraction_tree(knowledge_tree(g, decoder, catalog, source=abstraction_source))
+        return cls(g, decoder, kt, at, catalog, construction_k, height,
+                   tuple(sweep), abstraction_source)
 
 
 def build_data_space(sim, catalog: FeatureCatalog, height: int = 2,
@@ -270,47 +273,27 @@ def build_data_space(sim, catalog: FeatureCatalog, height: int = 2,
     The sweep runs from the smallest count giving a connected graph up to
     every positive pair; ties prefer the smaller count.
     """
-    sim = np.asarray(sim, dtype=float)
     pairs = positive_pairs(sim)
-    n = sim.shape[0]
+    n = np.asarray(sim).shape[0]
     ids = tuple(ids) if ids is not None else tuple(str(i) for i in range(n))
 
-    k_min = _smallest_connected(n, pairs)
+    k_min = smallest_connected(n, pairs)
     if k_min is None:
         raise InvariantViolation("no edge count connects the samples (zero rows?)")
 
     sweep = []
-    best_k = None
+    best = None
     best_d = -1.0
     for k in range(k_min, len(pairs) + 1):
-        gk = build_topk_graph(sim, k, ids=ids)
-        d = decoding_info_k(gk, height)
+        gk = Graph.from_index_edges(n, [(i, j, w) for w, i, j in pairs[:k]], ids=ids)
+        result = minimize_kd(gk, height)
+        d = one_dim_entropy(gk) - result.entropy
         sweep.append((k, d))
         if d > best_d:
-            best_d, best_k = d, k
-    graph = build_topk_graph(sim, best_k, ids=ids)
-    decoder = minimize_kd(graph, height).tree
-    return _derive(graph, decoder, catalog, best_k, height, sweep, abstraction_source)
-
-
-def _smallest_connected(n: int, pairs) -> int | None:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = n
-    for k, (_, i, j) in enumerate(pairs, start=1):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            components -= 1
-            if components == 1:
-                return k
-    return None
+            best_d, best = d, (k, gk, result.tree)
+    best_k, graph, decoder = best
+    return DataSpace.from_decoder(graph, decoder, catalog, best_k, height, sweep,
+                                  abstraction_source)
 
 
 @dataclass(frozen=True)
@@ -342,8 +325,8 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     for vid, w in sims.items():
         v = _vertex_index(g, vid)
         w = float(w)
-        if w < 0:
-            raise InvariantViolation(f"negative similarity for {vid!r}")
+        if not 0 <= w < math.inf:
+            raise InvariantViolation(f"negative or non-finite similarity for {vid!r}")
         if w > 0:
             weights.append((w, v))
     if not weights:
@@ -353,6 +336,7 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     features = FeatureSet(frozenset(map(str, syntax)), frozenset(map(str, semantics)))
     target = choose_abstraction(ds, features.pick(ds.abstraction_source))
     module_path = target.decoder_path
+    kind = "pair_with" if ds.decoder.node_at(module_path).is_leaf else "child_of"
 
     h_before = structural_entropy(g, ds.decoder)
     x = g.n
@@ -367,18 +351,18 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     best_d = -float("inf")
     for k in range(1, len(weights) + 1):
         gk = graph_with(k)
-        tk = _placed(gk, ds.decoder, module_path, x)
+        tk = _apply_position(gk, ds.decoder, kind, module_path, x)
         d = one_dim_entropy(gk) - structural_entropy(gk, tk, check=False)
         if d > best_d:
             best_d, best_k = d, k
 
     new_graph = graph_with(best_k)
-    new_tree = _local_refit(new_graph, ds.decoder, module_path, x, ds.height)
+    new_tree = _local_refit(new_graph, ds.decoder, kind, module_path, x, ds.height)
     h_after = structural_entropy(new_graph, new_tree)
 
     catalog = ds.catalog.with_entry(point_id, features)
-    out = _derive(new_graph, new_tree, catalog, ds.construction_k, ds.height,
-                  ds.sweep, ds.abstraction_source)
+    out = DataSpace.from_decoder(new_graph, new_tree, catalog, ds.construction_k,
+                                 ds.height, ds.sweep, ds.abstraction_source)
     leaf_path = codeword(new_tree, x)
     if len(leaf_path) > 1:
         module = new_tree.node_at(leaf_path[:-1]).vertices
@@ -388,31 +372,6 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
                           module=tuple(sorted(new_graph.vertex_ids[v] for v in module)),
                           h_before=h_before, h_after=h_after)
     return out, report
-
-
-def _placed(gx: Graph, decoder: EncodingTree, module_path, x: int) -> EncodingTree:
-    """Decoder copy with x inserted as a leaf at the module node."""
-    t = decoder.copy()
-    node = t.node_at(module_path)
-    leaf = TreeNode((x,))
-    if node.is_leaf:
-        # singleton module: grow it into a two-leaf module in place
-        node.children = [TreeNode(node.vertices), leaf]
-    else:
-        node.children.append(leaf)
-        node.children.sort(key=TreeNode.min_vertex)
-    # the module marker and every ancestor marker gain x
-    _add_to_ancestors(t.root, module_path, x)
-    refresh_stats(gx, t)
-    return t
-
-
-def _add_to_ancestors(root: TreeNode, path, x: int) -> None:
-    node = root
-    node.vertices = node.vertices | {x}
-    for i in path:
-        node = node.children[i]
-        node.vertices = node.vertices | {x}
 
 
 def _candidate_positions(t: EncodingTree, module_path, cap: int):
@@ -455,36 +414,41 @@ def _candidate_positions(t: EncodingTree, module_path, cap: int):
 
 
 def _apply_position(gx: Graph, decoder: EncodingTree, kind, path, x: int) -> EncodingTree:
+    """Decoder copy with x inserted as a new leaf.
+
+    'child_of' hangs x under the node at path; 'pair_with' grows the leaf at
+    path into a two-leaf module holding it and x.
+    """
     t = decoder.copy()
-    node = t.node_at(path)
+    node = t.root
+    for i in path:  # the node's marker and every ancestor marker gain x
+        node.vertices |= {x}
+        node = node.children[i]
     leaf = TreeNode((x,))
     if kind == "pair_with":
         node.children = [TreeNode(node.vertices), leaf]
-        node.vertices = node.vertices | {x}
     else:
         node.children.append(leaf)
         node.children.sort(key=TreeNode.min_vertex)
-    _add_to_ancestors(t.root, path, x)
+    node.vertices |= {x}
     refresh_stats(gx, t)
     return t
 
 
-def _local_refit(gx: Graph, decoder: EncodingTree, module_path, x: int,
+def _local_refit(gx: Graph, decoder: EncodingTree, kind, module_path, x: int,
                  cap: int) -> EncodingTree:
     """Entropy-minimizing placement of x near the chosen module.
 
     Candidates are every slot inside the module's subtree plus the sibling
-    modules; only the new point moves.  The intuitive placement wins ties.
+    modules; only the new point moves.  The intuitive placement, `kind` at
+    the module, wins ties.
     """
-    intuitive = _placed(gx, decoder, module_path, x)
-    best_tree = intuitive
-    best_h = structural_entropy(gx, intuitive, check=False)
-    module = decoder.node_at(module_path)
-    intuitive_kind = "pair_with" if module.is_leaf else "child_of"
-    for kind, path in _candidate_positions(decoder, module_path, cap):
-        if (kind, path) == (intuitive_kind, module_path):
+    best_tree = _apply_position(gx, decoder, kind, module_path, x)
+    best_h = structural_entropy(gx, best_tree, check=False)
+    for other in _candidate_positions(decoder, module_path, cap):
+        if other == (kind, module_path):
             continue
-        tree = _apply_position(gx, decoder, kind, path, x)
+        tree = _apply_position(gx, decoder, *other, x)
         h = structural_entropy(gx, tree, check=False)
         if h < best_h - 1e-12:
             best_h, best_tree = h, tree

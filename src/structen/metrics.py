@@ -68,28 +68,29 @@ def _node_terms(t: EncodingTree):
                 stack.append(child)
 
 
-def structural_entropy(g: Graph, t: EncodingTree, check: bool = True) -> float:
-    """Uncertainty left in the graph under the tree's encoding (cut weighting)."""
+def _tree_sum(g: Graph, t: EncodingTree, weight: Callable[[TreeNode], float],
+              check: bool) -> float:
+    # -sum over non-root nodes of weight / vol * log2(V_a / V_parent), for any
+    # marker weighting.
     if check:
         check_valid(g, t)
     vol = g.volume
-    return -sum(c.cut / vol * math.log2(c.vol / p.vol) for c, p in _node_terms(t))
+    return -sum(weight(c) / vol * math.log2(c.vol / p.vol) for c, p in _node_terms(t))
+
+
+def structural_entropy(g: Graph, t: EncodingTree, check: bool = True) -> float:
+    """Uncertainty left in the graph under the tree's encoding (cut weighting)."""
+    return _tree_sum(g, t, lambda c: c.cut, check)
 
 
 def compressing_info(g: Graph, t: EncodingTree, check: bool = True) -> float:
     """Uncertainty eliminated by the tree: weights V_a - g_a instead of g_a."""
-    if check:
-        check_valid(g, t)
-    vol = g.volume
-    return -sum((c.vol - c.cut) / vol * math.log2(c.vol / p.vol) for c, p in _node_terms(t))
+    return _tree_sum(g, t, lambda c: c.vol - c.cut, check)
 
 
 def module_entropy(g: Graph, t: EncodingTree, f: ModuleFunction, check: bool = True) -> float:
     """Generalized tree entropy with an arbitrary marker weighting."""
-    if check:
-        check_valid(g, t)
-    vol = g.volume
-    return -sum(f(g, c.vertices) / vol * math.log2(c.vol / p.vol) for c, p in _node_terms(t))
+    return _tree_sum(g, t, lambda c: f(g, c.vertices), check)
 
 
 def decoding_info(g: Graph, t: EncodingTree, check: bool = True) -> float:
@@ -140,13 +141,10 @@ def _path_nodes(t: EncodingTree) -> dict[int, list[TreeNode]]:
     return out
 
 
-def structural_entropy_edgewise(g: Graph, t: EncodingTree, check: bool = True) -> float:
-    """Oracle for structural_entropy via per-edge codeword walks.
-
-    Each undirected edge contributes in both directions, weighted by its
-    weight: the cost of the path from just below the branch point of the two
-    codewords down to the arrival leaf.
-    """
+def _edgewise_sum(g: Graph, t: EncodingTree, below_branch: bool, check: bool) -> float:
+    # Each undirected edge contributes in both directions, weighted by its
+    # weight: the codeword-path cost from just below the branch point down to
+    # the arrival leaf, or the cost of the shared prefix above it.
     if check:
         check_valid(g, t)
     chains = _path_nodes(t)
@@ -157,26 +155,19 @@ def structural_entropy_edgewise(g: Graph, t: EncodingTree, check: bool = True) -
             branch = 0
             while branch < len(cx) and branch < len(cy) and cx[branch] is cy[branch]:
                 branch += 1
-            for depth in range(branch, len(cy)):
+            for depth in range(branch, len(cy)) if below_branch else range(1, branch):
                 acc -= w * math.log2(cy[depth].vol / cy[depth - 1].vol)
     return acc / g.volume
+
+
+def structural_entropy_edgewise(g: Graph, t: EncodingTree, check: bool = True) -> float:
+    """Oracle for structural_entropy via per-edge codeword walks below the branch point."""
+    return _edgewise_sum(g, t, True, check)
 
 
 def compressing_info_edgewise(g: Graph, t: EncodingTree, check: bool = True) -> float:
     """Oracle for compressing_info: per-edge shared-prefix (mutual) information."""
-    if check:
-        check_valid(g, t)
-    chains = _path_nodes(t)
-    acc = 0.0
-    for u, v, w in g.edges:
-        for x, y in ((u, v), (v, u)):
-            cx, cy = chains[x], chains[y]
-            branch = 0
-            while branch < len(cx) and branch < len(cy) and cx[branch] is cy[branch]:
-                branch += 1
-            for depth in range(1, branch):
-                acc -= w * math.log2(cy[depth].vol / cy[depth - 1].vol)
-    return acc / g.volume
+    return _edgewise_sum(g, t, False, check)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import GraphParseError, InvariantViolation
-from .graph import Graph, VertexSet, cut_weight
+from .graph import Graph, VertexSet
 
 STAT_TOL = 1e-9
 
@@ -124,14 +124,10 @@ def format_path(path) -> str:
     return "root" if not path else ".".join(str(i) for i in path)
 
 
-def _leaf(g: Graph, v: int) -> TreeNode:
-    d = g.degree[v]
-    return TreeNode((v,), d, d)
-
-
 def star_tree(g: Graph) -> EncodingTree:
     """Root with one leaf child per vertex, in index order."""
-    root = TreeNode(range(g.n), g.volume, 0.0, [_leaf(g, v) for v in range(g.n)])
+    leaves = [TreeNode((v,), d, d) for v, d in enumerate(g.degree)]
+    root = TreeNode(range(g.n), g.volume, 0.0, leaves)
     return EncodingTree(root)
 
 
@@ -140,21 +136,14 @@ def from_partition(g: Graph, parts) -> EncodingTree:
     parts = [frozenset(p) for p in parts]
     if any(not p for p in parts):
         raise InvariantViolation("empty part")
-    total = sum(len(p) for p in parts)
-    union = frozenset().union(*parts)
-    if total != len(union) or union != g.vertices():
-        raise InvariantViolation("parts do not partition the vertex set")
     if len(parts) < 2:
         raise InvariantViolation("a partition tree needs at least 2 parts")
-    children = []
-    for part in sorted(parts, key=min):
-        if len(part) == 1:
-            children.append(_leaf(g, next(iter(part))))
-        else:
-            vol = sum(g.degree[v] for v in part)
-            children.append(TreeNode(part, vol, cut_weight(g, part),
-                                     [_leaf(g, v) for v in sorted(part)]))
-    return EncodingTree(TreeNode(range(g.n), g.volume, 0.0, children))
+    children = [TreeNode(part, children=[TreeNode((v,)) for v in sorted(part)])
+                if len(part) > 1 else TreeNode(part)
+                for part in sorted(parts, key=min)]
+    t = EncodingTree(TreeNode(range(g.n), children=children))
+    refresh_stats(g, t)
+    return t
 
 
 def build_tree(g: Graph, spec) -> EncodingTree:
@@ -166,23 +155,56 @@ def build_tree(g: Graph, spec) -> EncodingTree:
 
     def rec(s) -> TreeNode:
         if isinstance(s, int):
-            return _leaf(g, s)
+            return TreeNode((s,))
         children = [rec(c) for c in s]
         if not children:
             raise InvariantViolation("empty node spec")
-        vertices = frozenset().union(*(c.vertices for c in children))
-        vol = sum(g.degree[v] for v in vertices)
-        cut = 0.0 if len(vertices) == g.n else cut_weight(g, vertices)
-        return TreeNode(vertices, vol, cut, children)
+        return TreeNode(frozenset().union(*(c.vertices for c in children)), children=children)
 
-    return EncodingTree(rec(spec))
+    t = EncodingTree(rec(spec))
+    refresh_stats(g, t)
+    return t
+
+
+def _node_stats(g: Graph, t: EncodingTree) -> list[tuple[NodePath, TreeNode, float, float]]:
+    """(path, node, vol, cut) of every node in preorder, from one edge pass.
+
+    Each edge adds its weight to every node strictly below the branch point
+    of its endpoints' leaf chains.  Edges are taken in `g.edges` order, so
+    every cut is the same float sum `cut_weight` makes.  The tree's
+    structure must already be valid.
+    """
+    nodes: list[tuple[NodePath, TreeNode]] = []
+    chains: dict[int, tuple[int, ...]] = {}  # vertex -> node indices, root first
+    stack = [((), t.root, ())]
+    while stack:
+        path, node, chain = stack.pop()
+        chain += (len(nodes),)
+        nodes.append((path, node))
+        if node.is_leaf:
+            chains[node.vertex] = chain
+        for i in range(len(node.children) - 1, -1, -1):
+            stack.append((path + (i,), node.children[i], chain))
+    crossing: list[list[float]] = [[] for _ in nodes]
+    for u, v, w in g.edges:
+        cu, cv = chains[u], chains[v]
+        branch = 1
+        while cu[branch] == cv[branch]:
+            branch += 1
+        for i in cu[branch:] + cv[branch:]:
+            crossing[i].append(w)
+    deg = g.degree
+    return [(path, node, sum(deg[v] for v in node.vertices), sum(ws, 0.0))
+            for (path, node), ws in zip(nodes, crossing)]
 
 
 def refresh_stats(g: Graph, t: EncodingTree) -> None:
     """Recompute every cached vol and cut from the graph, in place."""
-    for _, node in t.walk():
-        node.vol = sum(g.degree[v] for v in node.vertices)
-        node.cut = 0.0 if len(node.vertices) == g.n else cut_weight(g, node.vertices)
+    msg = validate_structure(t, g.n)
+    if msg:
+        raise InvariantViolation(f"invalid encoding tree: {msg}")
+    for _, node, vol, cut in _node_stats(g, t):
+        node.vol, node.cut = vol, cut
 
 
 def validate_structure(t: EncodingTree, n: int) -> str | None:
@@ -212,10 +234,8 @@ def validate(g: Graph, t: EncodingTree) -> str | None:
     msg = validate_structure(t, g.n)
     if msg:
         return msg
-    for path, node in t.walk():
+    for path, node, vol, cut in _node_stats(g, t):
         where = format_path(path)
-        vol = sum(g.degree[v] for v in node.vertices)
-        cut = 0.0 if len(node.vertices) == g.n else cut_weight(g, node.vertices)
         if abs(node.vol - vol) > STAT_TOL:
             return f"stale cached stats (vol {node.vol!r} vs {vol!r}) at {where}"
         if abs(node.cut - cut) > STAT_TOL:

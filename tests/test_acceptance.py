@@ -246,9 +246,9 @@ def test_criterion_9_knowledge_and_abstraction():
                 for vid in g.vertex_ids})
             kt = st.knowledge_tree(g, decoder, catalog)
             at = st.abstraction_tree(kt)
-            from structen.learning import check_strict_growth, _derive
+            from structen.learning import check_strict_growth
             assert check_strict_growth(at) is None
-            ds = _derive(g, decoder, catalog, 1, 3, (), "all")
+            ds = st.DataSpace.from_decoder(g, decoder, catalog, 1, 3, (), "all")
             for vid in g.vertex_ids:
                 chain = st.flow_of_abstractions(ds, vid)
                 for deeper, shallower in zip(chain, chain[1:]):

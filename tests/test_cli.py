@@ -92,6 +92,10 @@ class TestEntropyCommand:
         loop.write_text("a\ta\t1\n", encoding="utf-8")
         code, _, err = run(capsys, "entropy", "--graph", loop)
         assert code == 2 and "self-loop" in err
+        inf = files / "inf.tsv"
+        inf.write_text("a\tb\t1\nb\tc\tinf\nc\ta\t1\n", encoding="utf-8")
+        code, _, err = run(capsys, "entropy", "--graph", inf, "--dim", 2)
+        assert code == 2 and "non-finite" in err
 
     def test_invalid_tree_exit_2(self, files, capsys):
         doc = {"children": [
@@ -102,6 +106,9 @@ class TestEntropyCommand:
         bad.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = run(capsys, "entropy", "--graph", files / "barbell.tsv",
                            "--tree", bad)
+        assert code == 2 and "invalid encoding tree" in err
+        code, _, err = run(capsys, "knowledge", "--graph", files / "barbell.tsv",
+                           "--tree", bad, "--features", files / "features.json")
         assert code == 2 and "invalid encoding tree" in err
 
     def test_missing_file_exit_1(self, files, capsys):
@@ -172,6 +179,10 @@ class TestBuildCommand:
         asym.write_text(",a,b\na,0,2\nb,3,0\n", encoding="utf-8")
         code, _, err = run(capsys, "build", "--similarity", asym)
         assert code == 1 and "symmetric" in err
+        nan = files / "nan.csv"
+        nan.write_text(",a,b,c\na,0,1,nan\nb,1,0,1\nc,nan,1,0\n", encoding="utf-8")
+        code, _, err = run(capsys, "build", "--similarity", nan)
+        assert code == 1 and "bad number" in err
 
 
 class TestInsertCommand:

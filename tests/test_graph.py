@@ -43,6 +43,11 @@ class TestLoadGraph:
     def test_non_positive_weight(self, tmp_path):
         with pytest.raises(InvariantViolation, match="non-positive"):
             st.load_graph(write(tmp_path, "a b 0\n"))
+        # weights must also be finite, and so must their sums
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            st.load_graph(write(tmp_path, "a b 1\nb c inf\n"))
+        with pytest.raises(InvariantViolation, match="overflows"):
+            st.load_graph(write(tmp_path, "a b 1e308\nb c 1e308\n"))
 
     def test_parse_error_reports_line(self, tmp_path):
         with pytest.raises(GraphParseError, match=":2:"):
@@ -213,6 +218,11 @@ class TestTopkGraph:
         bad[0, 1] = 2.0
         with pytest.raises(InvariantViolation, match="symmetric"):
             st.build_topk_graph(bad, 3)
+        for x in (np.nan, np.inf):
+            bad = EXAMPLE_SIM.copy()
+            bad[0, 2] = bad[2, 0] = x
+            with pytest.raises(InvariantViolation, match="non-finite"):
+                st.build_topk_graph(bad, 3)
 
 
 class TestSimilarityCsv:
@@ -240,3 +250,7 @@ class TestSimilarityCsv:
         path.write_text(",a,b\na,0,x\nb,x,0\n", encoding="utf-8")
         with pytest.raises(GraphParseError, match="bad number"):
             st.load_similarity_csv(path)
+        for x in ("nan", "inf"):
+            path.write_text(f",a,b,c\na,0,1,{x}\nb,1,0,1\nc,{x},1,0\n", encoding="utf-8")
+            with pytest.raises(GraphParseError, match="bad number"):
+                st.load_similarity_csv(path)

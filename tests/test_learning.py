@@ -221,9 +221,9 @@ class TestChooseAbstraction:
 
 
 def _space(g, decoder, catalog):
-    from structen.learning import _derive
-    return _derive(g, decoder, catalog, construction_k=len(g.edges),
-                   height=max(2, decoder.root.height()), sweep=(), source="all")
+    return st.DataSpace.from_decoder(g, decoder, catalog, construction_k=len(g.edges),
+                                     height=max(2, decoder.root.height()),
+                                     abstraction_source="all")
 
 
 class TestBuildDataSpace:
@@ -312,7 +312,6 @@ class TestInsertPoint:
 
     def test_chosen_k_dominates_single_edge(self, block_space):
         # the swept argmax is at least as decodable as the k=1 candidate
-        from structen.learning import _placed
         sims = {str(i): (0.5 if i < 4 else 0.1) for i in range(8)}
         ds, report = st.insert_point(block_space, "x", sims, syntax={"b1"})
         g0 = block_space.graph
@@ -325,7 +324,13 @@ class TestInsertPoint:
         def placed_decodability(k):
             extra = [(g0.vertex_ids[v], "x", w) for w, v in ranked[:k]]
             gk = st.Graph(ids2, old + extra)
-            tk = _placed(gk, block_space.decoder, target.decoder_path, 8)
+            # the decoder with x as one more leaf of the target module
+            doc = st.serialize(g0, block_space.decoder)
+            module = doc
+            for i in target.decoder_path:
+                module = module["children"][i]
+            module["children"].append({"vertex": "x"})
+            tk = st.deserialize(gk, doc)
             return st.one_dim_entropy(gk) - st.structural_entropy(gk, tk, check=False)
 
         assert placed_decodability(report.chosen_k) >= placed_decodability(1) - 1e-9
@@ -349,6 +354,11 @@ class TestInsertPoint:
     def test_all_zero_sims_rejected(self, block_space):
         with pytest.raises(InvariantViolation, match="zero"):
             st.insert_point(block_space, "x", {"0": 0.0, "1": 0.0})
+
+    def test_non_finite_similarity_rejected(self, block_space):
+        for x in (float("nan"), float("inf")):
+            with pytest.raises(InvariantViolation, match="non-finite"):
+                st.insert_point(block_space, "x", {"0": 0.5, "1": x})
 
     def test_unknown_similarity_target_rejected(self, block_space):
         with pytest.raises(InvariantViolation, match="unknown vertex"):

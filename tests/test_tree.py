@@ -188,3 +188,27 @@ class TestBuildTree:
         t.root.children[0].vol = 123.0
         st.refresh_stats(k4, t)
         assert st.validate(k4, t) is None
+
+
+class TestOnePassStats:
+    def test_stats_bit_identical_to_per_node_sums(self):
+        # exact equality, not approx: with non-dyadic weights, any change to
+        # the order in which a node's cut or volume is summed shows up here
+        rng = random.Random(11)
+        for _ in range(30):
+            base = random_connected_graph(rng, 6, 14, extra=0.4)
+            g = st.Graph.from_index_edges(base.n, [
+                (u, v, rng.choice((0.1, 0.3, 0.7, 1.3, 2.9))) for u, v, _ in base.edges])
+            for t in (random_encoding_tree(g, rng), st.minimize_kd(g, rng.choice((2, 3))).tree):
+                st.refresh_stats(g, t)
+                assert t.root.cut == 0.0
+                for _, node in t.walk():
+                    assert node.vol == st.subset_volume(g, node.vertices)
+                    if node is not t.root:
+                        assert node.cut == st.cut_weight(g, node.vertices)
+
+    def test_refresh_stats_rejects_invalid_structure(self, k4):
+        t = st.star_tree(k4)
+        t.root.children.pop()
+        with pytest.raises(InvariantViolation, match="invalid encoding tree"):
+            st.refresh_stats(k4, t)
