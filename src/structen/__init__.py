@@ -16,7 +16,8 @@ from .metrics import (InfoReport, ModuleFunction, compressing_info,
 from .optimize import (OptimizeResult, TraceStep, brute_force_2d,
                        brute_force_kd, combine_apply, compressing_ratio_k,
                        cross_weight, decoding_info_k, is_compressible,
-                       merge_delta, minimize_2d, minimize_kd)
+                       merge_delta, minimize_2d, minimize_kd, parse_trace,
+                       replay_trace)
 from .learning import (AbstractionTree, DataSpace, FeatureCatalog, FeatureSet,
                        InsertReport, KnowledgeTree, abstraction_tree,
                        build_data_space, choose_abstraction,

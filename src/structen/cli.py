@@ -31,6 +31,8 @@ def _read_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise GraphParseError(f"{path}: document nested too deeply") from None
 
 
 def _write_json(path, doc) -> None:
@@ -58,6 +60,9 @@ def cmd_entropy(args) -> int:
         print(f"h_t {_fmt(result.entropy)}")
         for line in _module_lines(g, result.tree):
             print(line)
+        if args.trace:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(result.trace_text())
     else:
         print(f"h1 {_fmt(one_dim_entropy(g))}")
     return 0
@@ -180,6 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--tree", help="encoding-tree JSON for a full report")
     group.add_argument("--dim", type=int, help="greedy-minimize at this height cap")
+    p.add_argument("--trace", help="with --dim: write the optimizer trace here")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("oracle", help="exact brute-force optimum (small graphs)")
@@ -212,7 +218,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "trace", None) and not args.dim:
+        parser.error("--trace needs --dim")
     try:
         return args.func(args)
     except GraphParseError as exc:

@@ -17,22 +17,38 @@ uncapped pass followed by compression avoids.  Only pairs with positive
 cross weight are candidates, deltas are evaluated locally, and ties break
 deterministically on (min vertex of A, min vertex of B) with merge
 preferred over combine.
+
+The phases are incremental.  Each keeps a parent map, cached subtree
+heights and min vertices, updated along the changed path only (`_Shape`),
+and a heap of candidates keyed by the tie-break, invalidated lazily by
+per-node stamps.  The greedy phases also keep, for every sibling pair, the
+indices of the edges between the two in `g.edges` order.  A merge or
+combine re-scores only the pairs it touched: the new node with its
+siblings, the pairs under a fused node (their parent volume changed), and
+the parent with its own siblings (its children changed).  A flatten
+re-scores the parent and the promoted children.  Every candidate is scored
+by the same float expressions on the same operands as a full rescan would
+use, and a pair's weight is summed over its edges in `g.edges` order, so
+each step picks the same move with the same delta: traces, trees and
+entropies are identical to the exhaustive search, bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, SizeGuardExceeded
+from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
 from .graph import Graph, one_dim_entropy
 from .metrics import structural_entropy
 from .tree import (EncodingTree, TreeNode, build_tree, format_path,
-                   from_partition, star_tree)
+                   from_partition, parse_path, refresh_stats, star_tree)
 
 DELTA_TOL = 1e-12
+REPLAY_TOL = 1e-9
+_STEP_KINDS = ("merge", "combine", "flatten")
 
 
 @dataclass(frozen=True)
@@ -173,60 +189,209 @@ def minimize_2d(g: Graph) -> OptimizeResult:
     return minimize_kd(g, 2)
 
 
-def _best_move(g: Graph, t: EncodingTree, k: int | None):
-    # One pass over edges buckets cross weights by (parent path, child pair).
-    leaf_paths = t.leaf_paths()
-    cross: dict[tuple[tuple[int, ...], int, int], float] = defaultdict(float)
-    for u, v, w in g.edges:
-        pu, pv = leaf_paths[u], leaf_paths[v]
-        depth = 0
-        while pu[depth] == pv[depth]:
-            depth += 1
-        ia, ib = pu[depth], pv[depth]
-        cross[(pu[:depth], min(ia, ib), max(ia, ib))] += w
+class _Shape:
+    """Parent links, subtree heights and min vertices of a tree that a phase
+    edits in place; each edit updates them along the changed path only."""
 
-    vol = g.volume
-    best_key = None
-    best = None
-    for (ppath, ia, ib), w in cross.items():
-        parent = t.node_at(ppath)
-        if len(parent.children) < 3:
-            continue
-        a, b = parent.children[ia], parent.children[ib]
-        ma, mb = a.min_vertex(), b.min_vertex()
-        depth = len(ppath)
-        leaf_ok = k is None or ((not a.is_leaf or depth + 2 <= k)
-                                and (not b.is_leaf or depth + 2 <= k))
-        if leaf_ok:
-            if _is_flat(a) and _is_flat(b):
-                d = _flat_merge_delta(vol, parent.vol, a.vol, a.cut, b.vol, b.cut, w)
+    __slots__ = ("parent", "height", "low")
+
+    def __init__(self, t: EncodingTree):
+        self.parent: dict[TreeNode, TreeNode] = {}
+        self.height: dict[TreeNode, int] = {}
+        self.low: dict[TreeNode, int] = {}
+        order = [t.root]
+        for node in order:
+            for c in node.children:
+                self.parent[c] = node
+                order.append(c)
+        for node in reversed(order):
+            if node.is_leaf:
+                self.height[node], self.low[node] = 0, node.vertex
             else:
-                d = _general_merge_delta(vol, parent, a, b, w)
-            key = (-d, ma, mb, 0)
-            if best_key is None or key < best_key:
-                best_key, best = key, ("merge", ppath, ia, ib, w, d)
-        # A leaf-leaf combine builds the very tree the merge builds; skip it.
-        combinable = not (a.is_leaf and b.is_leaf)
-        if combinable and (k is None or depth + 2 + max(a.height(), b.height()) <= k):
-            d = _combine_delta(vol, parent.vol, a.vol, b.vol, w)
-            key = (-d, ma, mb, 1)
-            if best_key is None or key < best_key:
-                best_key, best = key, ("combine", ppath, ia, ib, w, d)
-    return best
+                self.height[node] = 1 + max(self.height[c] for c in node.children)
+                self.low[node] = min(self.low[c] for c in node.children)
+
+    def depth(self, node: TreeNode) -> int:
+        d = 0
+        while node in self.parent:
+            node = self.parent[node]
+            d += 1
+        return d
+
+    def path(self, node: TreeNode) -> tuple[int, ...]:
+        out = []
+        while node in self.parent:
+            up = self.parent[node]
+            out.append(up.children.index(node))
+            node = up
+        return tuple(reversed(out))
+
+    def attach(self, node: TreeNode, up: TreeNode) -> None:
+        """Register a node that a merge or combine just put under `up`."""
+        for c in node.children:
+            self.parent[c] = node
+        self.parent[node] = up
+        self.low[node] = self.low[node.children[0]]
+        h = self.height[node] = 1 + max(self.height[c] for c in node.children)
+        while up is not None and self.height[up] <= h:  # heights only grow here
+            h = self.height[up] = h + 1
+            up = self.parent.get(up)
+
+    def detach(self, node: TreeNode) -> None:
+        """Forget a node whose children were handed to another node."""
+        del self.parent[node], self.height[node], self.low[node]
+
+    def settle(self, node: TreeNode | None) -> None:
+        """Recompute heights upward from a node that lost depth below it."""
+        while node is not None:
+            h = 1 + max(self.height[c] for c in node.children)
+            if h == self.height[node]:
+                return
+            self.height[node] = h
+            node = self.parent.get(node)
 
 
 def _greedy_phase(g: Graph, t: EncodingTree, k: int | None,
                   trace: list[TraceStep]) -> None:
-    while True:
-        move = _best_move(g, t, k)
-        if move is None or move[5] <= DELTA_TOL:
+    # Apply the best merge or combine until none improves.  A lazily
+    # invalidated heap holds every candidate keyed by the tie-break
+    # (-delta, minA, minB, kind); an entry is live while both operands keep
+    # the stamps they had when it was scored.  A node's stamp changes when
+    # it moves to a new parent or its own children change, and each step
+    # re-scores exactly the pairs whose operands, parent or parent volume
+    # it changed.
+    vol, edges = g.volume, g.edges
+    shape = _Shape(t)
+    parent, height, low = shape.parent, shape.height, shape.low
+    tick = itertools.count()
+    stamp = {node: next(tick) for node in height}
+    leaf = {node.vertex: node for node in height if node.is_leaf}
+    # rows[x][y]: indices of the edges between siblings x and y in g.edges
+    # order; rows[x][y] and rows[y][x] are one list.
+    rows: dict[TreeNode, dict[TreeNode, list[int]]] = {node: {} for node in height}
+    for i, (u, v, _) in enumerate(edges):
+        a, b = leaf[u], leaf[v]
+        da, db = shape.depth(a), shape.depth(b)
+        for _ in range(da - db):
+            a = parent[a]
+        for _ in range(db - da):
+            b = parent[b]
+        while parent[a] is not parent[b]:
+            a, b = parent[a], parent[b]
+        pair = rows[a].get(b)
+        if pair is None:
+            pair = rows[a][b] = rows[b][a] = []
+        pair.append(i)
+
+    heap: list[tuple] = []
+
+    def fits(kind: int, a: TreeNode, b: TreeNode, up: TreeNode) -> bool:
+        # The height cap; depth and heights never shrink within a phase, so
+        # a pair that fails it once fails it for good.
+        if k is None:
+            return True
+        depth = shape.depth(up)
+        if kind == 0:
+            return depth + 2 <= k or not (a.is_leaf or b.is_leaf)
+        return depth + 2 + max(height[a], height[b]) <= k
+
+    def score(a: TreeNode, b: TreeNode) -> None:
+        up = parent[a]
+        if len(up.children) < 3:  # child counts only shrink
             return
-        kind, ppath, ia, ib, w, d = move
-        parent = t.node_at(ppath)
-        a, b = parent.children[ia], parent.children[ib]
-        new = _merged_node(a, b, w) if kind == "merge" else _combined_node(a, b, w)
-        _replace_pair(parent, a, b, new)
-        trace.append(TraceStep(kind, ppath + (ia,), ppath + (ib,), d))
+        if low[a] > low[b]:
+            a, b = b, a
+        w = 0.0
+        for i in rows[a][b]:
+            w += edges[i][2]
+        if fits(0, a, b, up):
+            if _is_flat(a) and _is_flat(b):
+                d = _flat_merge_delta(vol, up.vol, a.vol, a.cut, b.vol, b.cut, w)
+            else:
+                d = _general_merge_delta(vol, up, a, b, w)
+            if d > DELTA_TOL:
+                heapq.heappush(heap, (-d, low[a], low[b], 0, next(tick),
+                                      a, b, stamp[a], stamp[b], w))
+        # A leaf-leaf combine builds the very tree the merge builds; skip it.
+        if not (a.is_leaf and b.is_leaf) and fits(1, a, b, up):
+            d = _combine_delta(vol, up.vol, a.vol, b.vol, w)
+            if d > DELTA_TOL:
+                heapq.heappush(heap, (-d, low[a], low[b], 1, next(tick),
+                                      a, b, stamp[a], stamp[b], w))
+
+    def score_children(node: TreeNode) -> None:
+        for c in node.children:
+            for x in rows[c]:
+                if low[c] < low[x]:
+                    score(c, x)
+
+    for node in height:
+        score_children(node)
+
+    def live(entry: tuple) -> bool:
+        return stamp.get(entry[5]) == entry[7] and stamp.get(entry[6]) == entry[8]
+
+    kept = len(heap)
+    while heap:
+        if len(heap) > 2 * kept + 64:  # most entries are dead: drop them
+            heap[:] = [entry for entry in heap if live(entry)]
+            heapq.heapify(heap)
+            kept = len(heap)
+        entry = heapq.heappop(heap)
+        if not live(entry):
+            continue
+        neg_d, _, _, kind, _, a, b, _, _, w = entry
+        up = parent[a]
+        if len(up.children) < 3 or not fits(kind, a, b, up):
+            continue
+        ppath = shape.path(up)
+        trace.append(TraceStep("merge" if kind == 0 else "combine",
+                               ppath + (up.children.index(a),),
+                               ppath + (up.children.index(b),), -neg_d))
+        new = _merged_node(a, b, w) if kind == 0 else _combined_node(a, b, w)
+        _replace_pair(up, a, b, new)
+
+        between = rows[a].pop(b)
+        del rows[b][a]
+        row: dict[TreeNode, list[int]] = {}
+        for side in (a, b):
+            for x, pair in rows.pop(side).items():
+                del rows[x][side]
+                prev = row.get(x)
+                row[x] = pair if prev is None else sorted(prev + pair)
+        for x, pair in row.items():
+            rows[x][new] = pair
+        rows[new] = row
+        if kind == 0:
+            for side in (a, b):
+                if side.is_leaf:
+                    rows[side] = {}
+                else:
+                    shape.detach(side)
+                    del stamp[side]
+            shape.attach(new, up)
+            # Split the A-B edges among the fused node's children.
+            for i in between:
+                u, v, _ = edges[i]
+                cu, cv = leaf[u], leaf[v]
+                while parent[cu] is not new:
+                    cu = parent[cu]
+                while parent[cv] is not new:
+                    cv = parent[cv]
+                pair = rows[cu].get(cv)
+                if pair is None:
+                    pair = rows[cu][cv] = rows[cv][cu] = []
+                pair.append(i)
+        else:
+            rows[a], rows[b] = {b: between}, {a: between}
+            shape.attach(new, up)
+        for node in (new, up, *new.children):
+            stamp[node] = next(tick)
+        for x in row:
+            score(new, x)
+        score_children(new)
+        for y in rows[up]:
+            score(up, y)
 
 
 def _flatten_delta(vol: float, parent: TreeNode, node: TreeNode) -> float:
@@ -236,29 +401,54 @@ def _flatten_delta(vol: float, parent: TreeNode, node: TreeNode) -> float:
     return internal / vol * math.log2(node.vol / parent.vol)
 
 
+def _flatten(parent: TreeNode, node: TreeNode) -> None:
+    parent.children = [c for c in parent.children if c is not node]
+    parent.children.extend(node.children)
+    parent.children.sort(key=TreeNode.min_vertex)
+
+
 def _compress_phase(g: Graph, t: EncodingTree, k: int,
                     trace: list[TraceStep]) -> None:
-    # While too tall, remove the over-deep internal node costing the least.
+    # While too tall, flatten the over-deep internal node costing the least.
+    # The heap key (-delta, min vertex, -marker size) orders like the path
+    # tie-break: nodes sharing a min vertex lie on one first-child chain,
+    # where the shorter path is the larger marker.  A node's delta reads its
+    # parent's volume and its children's cuts, so a flatten re-scores the
+    # parent and the promoted children only; depth + height never grows, so
+    # an entry no longer over-deep is dropped for good.
     vol = g.volume
-    while t.height() > k:
-        best_key = None
-        best = None
-        for path, node in t.walk():
-            if not path or node.is_leaf:
-                continue
-            if len(path) + node.height() <= k:
-                continue
-            parent = t.node_at(path[:-1])
-            d = _flatten_delta(vol, parent, node)
-            key = (-d, node.min_vertex(), path)
-            if best_key is None or key < best_key:
-                best_key, best = key, (path, node, parent, d)
-        assert best is not None
-        path, node, parent, d = best
-        parent.children = [c for c in parent.children if c is not node]
-        parent.children.extend(node.children)
-        parent.children.sort(key=TreeNode.min_vertex)
-        trace.append(TraceStep("flatten", path, path[:-1], d))
+    shape = _Shape(t)
+    parent, height = shape.parent, shape.height
+    tick = itertools.count()
+    stamp: dict[TreeNode, int] = {}
+    heap: list[tuple] = []
+
+    def score(node: TreeNode) -> None:
+        stamp.pop(node, None)
+        if node.is_leaf or node not in parent or shape.depth(node) + height[node] <= k:
+            return
+        s = stamp[node] = next(tick)
+        d = _flatten_delta(vol, parent[node], node)
+        heapq.heappush(heap, (-d, shape.low[node], -len(node.vertices), s, node))
+
+    for node in height:
+        score(node)
+    while heap:
+        neg_d, _, _, s, node = heapq.heappop(heap)
+        if stamp.get(node) != s or shape.depth(node) + height[node] <= k:
+            continue
+        up = parent[node]
+        path = shape.path(node)
+        _flatten(up, node)
+        trace.append(TraceStep("flatten", path, path[:-1], -neg_d))
+        del stamp[node]
+        shape.detach(node)
+        for c in node.children:
+            parent[c] = up
+        shape.settle(up)
+        score(up)
+        for c in node.children:
+            score(c)
 
 
 def minimize_kd(g: Graph, k: int) -> OptimizeResult:
@@ -276,6 +466,63 @@ def minimize_kd(g: Graph, k: int) -> OptimizeResult:
     _compress_phase(g, t, k, trace)
     _greedy_phase(g, t, k, trace)
     return OptimizeResult(t, structural_entropy(g, t), tuple(trace))
+
+
+def parse_trace(text: str) -> tuple[TraceStep, ...]:
+    """Read optimizer-trace text, as `OptimizeResult.trace_text` writes it."""
+    steps = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        try:
+            if len(fields) != 5 or fields[0] != str(len(steps)) or fields[1] not in _STEP_KINDS:
+                raise ValueError
+            steps.append(TraceStep(fields[1], parse_path(fields[2]), parse_path(fields[3]),
+                                   float(fields[4])))
+        except ValueError:
+            raise GraphParseError(f"trace line {lineno}: expected "
+                                  f"'{len(steps)} <kind> <pathA> <pathB> <delta>'") from None
+    return tuple(steps)
+
+
+def replay_trace(g: Graph, trace) -> EncodingTree:
+    """Re-apply trace steps from the star tree, checking every logged delta.
+
+    Merge and combine use the optimizer's own node operations; a flatten
+    promotes the node's children to its parent.  After each step every
+    statistic is recomputed from the graph, and the step's delta must equal
+    the drop in `structural_entropy` to within REPLAY_TOL.  Raises
+    InvariantViolation at the first step that does not apply or disagrees.
+    """
+    t = star_tree(g)
+    h = structural_entropy(g, t)
+    for i, step in enumerate(trace):
+        where = f"trace step {i} ({step.kind} {format_path(step.a)} {format_path(step.b)})"
+        if step.kind not in _STEP_KINDS or not step.a:
+            raise InvariantViolation(f"{where}: not a step the optimizer takes")
+        if step.kind == "flatten":
+            if step.b != step.a[:-1]:
+                raise InvariantViolation(f"{where}: the second path must be the parent")
+            node = t.node_at(step.a)
+            if node.is_leaf:
+                raise InvariantViolation(f"{where}: cannot flatten a leaf")
+            _flatten(t.node_at(step.b), node)
+        else:
+            if step.a[:-1] != step.b[:-1] or step.a == step.b:
+                raise InvariantViolation(f"{where}: operands are not two distinct siblings")
+            parent = t.node_at(step.a[:-1])
+            if len(parent.children) < 3:
+                raise InvariantViolation(f"{where}: would leave the parent with a single child")
+            a, b = t.node_at(step.a), t.node_at(step.b)
+            w = cross_weight(g, a.vertices, b.vertices)
+            new = _merged_node(a, b, w) if step.kind == "merge" else _combined_node(a, b, w)
+            _replace_pair(parent, a, b, new)
+        refresh_stats(g, t)
+        h_after = structural_entropy(g, t, check=False)
+        if not abs((h - h_after) - step.delta) <= REPLAY_TOL:
+            raise InvariantViolation(f"{where}: logged delta {step.delta!r}, "
+                                     f"but the entropy dropped by {h - h_after!r}")
+        h = h_after
+    return t
 
 
 def _restricted_growth_strings(n: int):

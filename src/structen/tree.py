@@ -124,6 +124,16 @@ def format_path(path) -> str:
     return "root" if not path else ".".join(str(i) for i in path)
 
 
+def parse_path(text: str) -> NodePath:
+    """Inverse of `format_path`; raises ValueError on anything else."""
+    if text == "root":
+        return ()
+    parts = text.split(".")
+    if not all(p.isdigit() for p in parts):
+        raise ValueError(f"bad node path {text!r}")
+    return tuple(int(p) for p in parts)
+
+
 def star_tree(g: Graph) -> EncodingTree:
     """Root with one leaf child per vertex, in index order."""
     leaves = [TreeNode((v,), d, d) for v, d in enumerate(g.degree)]

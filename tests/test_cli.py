@@ -1,8 +1,10 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
+import structen as st
 from structen.cli import main
 
 BARBELL_TSV = (
@@ -114,6 +116,55 @@ class TestEntropyCommand:
     def test_missing_file_exit_1(self, files, capsys):
         code, _, _ = run(capsys, "entropy", "--graph", files / "nope.tsv")
         assert code == 1
+
+    def test_trace_file_replays_to_printed_result(self, files, capsys):
+        rng = random.Random(40)
+        lines = [f"v{i} v{i + 1} {rng.uniform(0.1, 3.0):.4f}" for i in range(24)]
+        lines += [f"v{u} v{v} {rng.uniform(0.1, 3.0):.4f}"
+                  for u, v in sorted({tuple(sorted(rng.sample(range(25), 2)))
+                                      for _ in range(40)})
+                  if v != u + 1]
+        graph = files / "sparse.tsv"
+        graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        trace = files / "trace.txt"
+        for dim in (2, 3, 4):
+            code, plain, _ = run(capsys, "entropy", "--graph", graph, "--dim", dim)
+            code_t, out, _ = run(capsys, "entropy", "--graph", graph, "--dim", dim,
+                                 "--trace", trace)
+            assert code == code_t == 0
+            assert out == plain
+            g = st.load_graph(graph)
+            text = trace.read_text(encoding="utf-8")
+            assert text == st.minimize_kd(g, dim).trace_text()
+            assert any(line.split()[1] == "flatten" for line in text.splitlines())
+            tree = st.replay_trace(g, st.parse_trace(text))
+            out_lines = out.splitlines()
+            assert out_lines[1] == f"h_t {st.structural_entropy(g, tree):.9f}"
+            assert out_lines[2:] == [
+                "module " + " ".join(g.vertex_ids[v] for v in sorted(c.vertices))
+                for c in tree.root.children]
+
+    def test_trace_needs_dim(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--graph", str(files / "k4.tsv"), "--trace",
+                  str(files / "trace.txt")])
+        assert exc.value.code == 2
+        assert "--trace needs --dim" in capsys.readouterr().err
+        assert not (files / "trace.txt").exists()
+
+    def test_deeply_nested_tree_document_exit_1(self, files, capsys):
+        # a caterpillar over a path graph: valid, but 1000 levels deep
+        depth = 1000
+        graph = files / "path.tsv"
+        graph.write_text("".join(f"{i} {i + 1}\n" for i in range(depth)), encoding="utf-8")
+        doc = ("".join(f'{{"children": [{{"vertex": "{i}"}}, ' for i in range(depth - 1))
+               + f'{{"children": [{{"vertex": "{depth - 1}"}}, {{"vertex": "{depth}"}}]}}'
+               + "]}" * (depth - 1))
+        json_doc = files / "deep.json"
+        json_doc.write_text(doc, encoding="utf-8")
+        code, out, err = run(capsys, "entropy", "--graph", graph, "--tree", json_doc)
+        assert code == 1 and out == ""
+        assert "document nested too deeply" in err and "Traceback" not in err
 
 
 class TestOracleCommand:

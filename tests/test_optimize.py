@@ -3,28 +3,12 @@ import random
 import pytest
 
 import structen as st
-from structen import InvariantViolation, SizeGuardExceeded
-from structen.optimize import cross_weight, _combined_node, _merged_node, _replace_pair
+from structen import GraphParseError, InvariantViolation, SizeGuardExceeded
+from structen.optimize import cross_weight
 
 from conftest import random_connected_graph, two_cliques
 
 BARBELL_H2 = 1.6995138503199656
-
-
-def replay_step(g, t, step):
-    """Apply one trace step to a working tree, mirroring the optimizer."""
-    if step.kind == "flatten":
-        node = t.node_at(step.a)
-        parent = t.node_at(step.a[:-1])
-        parent.children = [c for c in parent.children if c is not node]
-        parent.children.extend(node.children)
-        parent.children.sort(key=lambda c: min(c.vertices))
-        return
-    parent = t.node_at(step.a[:-1])
-    a, b = t.node_at(step.a), t.node_at(step.b)
-    w = cross_weight(g, a.vertices, b.vertices)
-    new = _merged_node(a, b, w) if step.kind == "merge" else _combined_node(a, b, w)
-    _replace_pair(parent, a, b, new)
 
 
 class TestMergeDelta:
@@ -182,24 +166,65 @@ class TestMinimizeKd:
 
 class TestTraceContract:
     def test_deltas_match_global_recomputation(self):
+        # replay_trace recomputes every statistic after each step and raises
+        # unless the logged delta is the entropy drop to within 1e-9
         rng = random.Random(23)
+        kinds = set()
         for _ in range(15):
             g = random_connected_graph(rng, 4, 10)
-            res = st.minimize_kd(g, rng.choice([2, 3]))
-            t = st.star_tree(g)
-            h = st.structural_entropy(g, t)
+            res = st.minimize_kd(g, rng.choice([2, 3, 4]))
             for step in res.trace:
-                replay_step(g, t, step)
-                st.refresh_stats(g, t)
-                h_after = st.structural_entropy(g, t, check=False)
-                assert step.delta == pytest.approx(h - h_after, abs=1e-9)
+                kinds.add(step.kind)
                 if step.kind in ("merge", "combine"):
                     assert step.delta > 1e-12
                 else:
                     assert step.delta <= 1e-12
-                h = h_after
+            t = st.replay_trace(g, res.trace)
             assert t == res.tree
-            assert h == pytest.approx(res.entropy, abs=1e-9)
+            assert st.validate(g, t) is None
+            assert st.structural_entropy(g, t) == pytest.approx(res.entropy, abs=1e-9)
+        assert kinds == {"merge", "combine", "flatten"}
+
+    def test_replay_rejects_a_wrong_delta(self, barbell):
+        trace = list(st.minimize_kd(barbell, 3).trace)
+        bad = trace[1]
+        trace[1] = st.TraceStep(bad.kind, bad.a, bad.b, bad.delta + 1e-6)
+        with pytest.raises(InvariantViolation, match="trace step 1"):
+            st.replay_trace(barbell, trace)
+
+    def test_replay_rejects_steps_that_do_not_apply(self, barbell):
+        bad_steps = [
+            st.TraceStep("merge", (0,), (0,), 0.1),          # one operand twice
+            st.TraceStep("merge", (0,), (9,), 0.1),          # no such node
+            st.TraceStep("combine", (0,), (1, 0), 0.1),      # not siblings
+            st.TraceStep("flatten", (0,), (), 0.0),          # a leaf
+            st.TraceStep("split", (0,), (1,), 0.1),          # unknown kind
+        ]
+        for step in bad_steps:
+            with pytest.raises(InvariantViolation):
+                st.replay_trace(barbell, [step])
+
+    def test_parse_trace_round_trip(self):
+        rng = random.Random(30)
+        for _ in range(10):
+            g = random_connected_graph(rng, 4, 12)
+            res = st.minimize_kd(g, rng.choice([2, 3, 4]))
+            steps = st.parse_trace(res.trace_text())
+            assert [(s.kind, s.a, s.b) for s in steps] == \
+                [(s.kind, s.a, s.b) for s in res.trace]
+            assert all(abs(s.delta - r.delta) <= 5e-10 for s, r in zip(steps, res.trace))
+            assert st.replay_trace(g, steps) == res.tree
+
+    @pytest.mark.parametrize("text", [
+        "0 merge 0 1\n",
+        "1 merge 0 1 0.5\n",
+        "0 split 0 1 0.5\n",
+        "0 merge 0.-1 1 0.5\n",
+        "0 merge 0 1 half\n",
+    ])
+    def test_parse_trace_rejects_malformed_lines(self, text):
+        with pytest.raises(GraphParseError, match="trace line 1"):
+            st.parse_trace(text)
 
     def test_trace_length_and_determinism(self):
         rng = random.Random(24)
