@@ -54,7 +54,7 @@ def cmd_entropy(args) -> int:
     if args.tree:
         t = deserialize(g, _read_json(args.tree))
         sys.stdout.write(info_report(g, t).to_text())
-    elif args.dim:
+    elif args.dim is not None:
         result = minimize_kd(g, args.dim)
         print(f"h1 {_fmt(one_dim_entropy(g))}")
         print(f"h_t {_fmt(result.entropy)}")
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trace", None) and not args.dim:
+    if getattr(args, "trace", None) and args.dim is None:
         parser.error("--trace needs --dim")
     try:
         return args.func(args)

@@ -91,9 +91,6 @@ class Graph:
     def n(self) -> int:
         return len(self.vertex_ids)
 
-    def vertices(self) -> VertexSet:
-        return frozenset(range(self.n))
-
     def _connected(self) -> bool:
         seen = [False] * self.n
         queue = deque([0])

@@ -312,15 +312,21 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
                  ) -> tuple[DataSpace, InsertReport]:
     """Stream one new point into the space.
 
-    Abstraction matching selects the target module; the attachment edge
-    count is swept for maximal decodable information with the point placed
-    under that module; a local re-fit may then move the point's leaf within
-    the module's subtree or to a sibling module.
+    Abstraction matching selects the target module.  The slots near it are,
+    in order: the module's subtree in preorder, its parent, its siblings.
+    The first is the home slot: the module itself, or its parent when the
+    module is a leaf at the height cap.  The attachment edge count is swept
+    for maximal decodable information with the point in the home slot; on
+    the winning graph each other slot replaces the best so far only if its
+    entropy is lower by more than 1e-12.  No slot lets the decoder grow
+    past the space's height.
     """
     point_id = str(point_id)
     g = ds.graph
     if point_id in g.index:
         raise InvariantViolation(f"vertex id {point_id!r} already present")
+    if ds.decoder.height() > ds.height:
+        raise InvariantViolation(f"decoder is taller than the height cap {ds.height}")
     weights = []
     for vid, w in sims.items():
         v = _vertex_index(g, vid)
@@ -335,29 +341,26 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
 
     features = FeatureSet(frozenset(map(str, syntax)), frozenset(map(str, semantics)))
     target = choose_abstraction(ds, features.pick(ds.abstraction_source))
-    module_path = target.decoder_path
-    kind = "pair_with" if ds.decoder.node_at(module_path).is_leaf else "child_of"
+    home, *others = _slots(ds.decoder, target.decoder_path, ds.height)
 
     h_before = structural_entropy(g, ds.decoder)
     x = g.n
     old_edges = [(g.vertex_ids[u], g.vertex_ids[v], w) for u, v, w in g.edges]
     ids2 = g.vertex_ids + (point_id,)
 
-    def graph_with(k: int) -> Graph:
-        extra = [(g.vertex_ids[v], point_id, w) for w, v in weights[:k]]
-        return Graph(ids2, old_edges + extra)
-
-    best_k = None
     best_d = -float("inf")
     for k in range(1, len(weights) + 1):
-        gk = graph_with(k)
-        tk = _apply_position(gk, ds.decoder, kind, module_path, x)
-        d = one_dim_entropy(gk) - structural_entropy(gk, tk, check=False)
+        gk = Graph(ids2, old_edges + [(g.vertex_ids[v], point_id, w) for w, v in weights[:k]])
+        tk = _apply_position(gk, ds.decoder, home, x)
+        h = structural_entropy(gk, tk, check=False)
+        d = one_dim_entropy(gk) - h
         if d > best_d:
-            best_d, best_k = d, k
-
-    new_graph = graph_with(best_k)
-    new_tree = _local_refit(new_graph, ds.decoder, kind, module_path, x, ds.height)
+            best_d, best_k, new_graph, new_tree, best_h = d, k, gk, tk, h
+    for path in others:
+        tree = _apply_position(new_graph, ds.decoder, path, x)
+        h = structural_entropy(new_graph, tree, check=False)
+        if h < best_h - 1e-12:
+            best_h, new_tree = h, tree
     h_after = structural_entropy(new_graph, new_tree)
 
     catalog = ds.catalog.with_entry(point_id, features)
@@ -374,50 +377,27 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     return out, report
 
 
-def _candidate_positions(t: EncodingTree, module_path, cap: int):
-    """Placement descriptors: ('child_of'|'pair_with', path), deterministic order."""
-    seen = set()
-    out = []
+def _slots(t: EncodingTree, module_path, cap: int) -> list[tuple[int, ...]]:
+    """Paths of the nodes x may join, in trial order, within the height cap.
 
-    def add(kind, path):
-        if (kind, path) not in seen:
-            seen.add((kind, path))
-            out.append((kind, path))
-
-    module = t.node_at(module_path)
-    # whole subtree under the module node
-    stack = [(module_path, module)]
-    while stack:
-        path, node = stack.pop()
-        if node.is_leaf:
-            if len(path) + 1 <= cap:
-                add("pair_with", path)
-        else:
-            if len(path) + 1 <= cap:
-                add("child_of", path)
-            for i in range(len(node.children) - 1, -1, -1):
-                stack.append((path + (i,), node.children[i]))
+    The module's subtree in preorder, then the module's parent, then its
+    siblings; only paths shorter than `cap` stay, since x lands one level
+    below its slot.
+    """
+    paths = [module_path + p for p, _ in EncodingTree(t.node_at(module_path)).walk()]
     if module_path:
         parent_path = module_path[:-1]
-        parent = t.node_at(parent_path)
-        add("child_of", parent_path)  # the point as its own singleton module
-        for i, sib in enumerate(parent.children):
-            sib_path = parent_path + (i,)
-            if sib_path == module_path:
-                continue
-            if sib.is_leaf:
-                if len(sib_path) + 1 <= cap:
-                    add("pair_with", sib_path)
-            elif len(sib_path) + 1 <= cap:
-                add("child_of", sib_path)
-    return out
+        paths.append(parent_path)
+        paths += [parent_path + (i,) for i in range(len(t.node_at(parent_path).children))
+                  if i != module_path[-1]]
+    return [p for p in paths if len(p) < cap]
 
 
-def _apply_position(gx: Graph, decoder: EncodingTree, kind, path, x: int) -> EncodingTree:
-    """Decoder copy with x inserted as a new leaf.
+def _apply_position(gx: Graph, decoder: EncodingTree, path, x: int) -> EncodingTree:
+    """Decoder copy with x inserted as a new leaf at the node at path.
 
-    'child_of' hangs x under the node at path; 'pair_with' grows the leaf at
-    path into a two-leaf module holding it and x.
+    An internal node gains x as one more child; a leaf grows into a
+    two-leaf module holding its vertex and x.
     """
     t = decoder.copy()
     node = t.root
@@ -425,7 +405,7 @@ def _apply_position(gx: Graph, decoder: EncodingTree, kind, path, x: int) -> Enc
         node.vertices |= {x}
         node = node.children[i]
     leaf = TreeNode((x,))
-    if kind == "pair_with":
+    if node.is_leaf:
         node.children = [TreeNode(node.vertices), leaf]
     else:
         node.children.append(leaf)
@@ -433,26 +413,6 @@ def _apply_position(gx: Graph, decoder: EncodingTree, kind, path, x: int) -> Enc
     node.vertices |= {x}
     refresh_stats(gx, t)
     return t
-
-
-def _local_refit(gx: Graph, decoder: EncodingTree, kind, module_path, x: int,
-                 cap: int) -> EncodingTree:
-    """Entropy-minimizing placement of x near the chosen module.
-
-    Candidates are every slot inside the module's subtree plus the sibling
-    modules; only the new point moves.  The intuitive placement, `kind` at
-    the module, wins ties.
-    """
-    best_tree = _apply_position(gx, decoder, kind, module_path, x)
-    best_h = structural_entropy(gx, best_tree, check=False)
-    for other in _candidate_positions(decoder, module_path, cap):
-        if other == (kind, module_path):
-            continue
-        tree = _apply_position(gx, decoder, *other, x)
-        h = structural_entropy(gx, tree, check=False)
-        if h < best_h - 1e-12:
-            best_h, best_tree = h, tree
-    return best_tree
 
 
 def classify_by_abstraction(abstraction_sets: Sequence[tuple[str, Iterable[str]]],

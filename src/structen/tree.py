@@ -88,19 +88,6 @@ class EncodingTree:
             for i in range(len(node.children) - 1, -1, -1):
                 stack.append((path + (i,), node.children[i]))
 
-    def edges(self) -> Iterator[tuple[TreeNode, TreeNode]]:
-        """All (parent, child) pairs."""
-        for _, node in self.walk():
-            for child in node.children:
-                yield node, child
-
-    def leaf_paths(self) -> dict[int, NodePath]:
-        out = {}
-        for path, node in self.walk():
-            if node.is_leaf:
-                out[node.vertex] = path
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, EncodingTree):
             return NotImplemented
@@ -222,20 +209,19 @@ def validate_structure(t: EncodingTree, n: int) -> str | None:
     if t.root.vertices != frozenset(range(n)):
         return "root marker must be the whole item set (at root)"
     for path, node in t.walk():
-        where = format_path(path)
         if node.is_leaf:
             if len(node.vertices) != 1:
-                return f"leaf marker is not a singleton at {where}"
+                return f"leaf marker is not a singleton at {format_path(path)}"
             continue
         if len(node.children) < 2:
-            return f"internal node has fewer than 2 children at {where}"
+            return f"internal node has fewer than 2 children at {format_path(path)}"
         union: set[int] = set()
         total = 0
         for child in node.children:
             union.update(child.vertices)
             total += len(child.vertices)
         if total != len(union) or union != set(node.vertices):
-            return f"children do not partition the marker at {where}"
+            return f"children do not partition the marker at {format_path(path)}"
     return None
 
 
@@ -245,11 +231,10 @@ def validate(g: Graph, t: EncodingTree) -> str | None:
     if msg:
         return msg
     for path, node, vol, cut in _node_stats(g, t):
-        where = format_path(path)
         if abs(node.vol - vol) > STAT_TOL:
-            return f"stale cached stats (vol {node.vol!r} vs {vol!r}) at {where}"
+            return f"stale cached stats (vol {node.vol!r} vs {vol!r}) at {format_path(path)}"
         if abs(node.cut - cut) > STAT_TOL:
-            return f"stale cached stats (cut {node.cut!r} vs {cut!r}) at {where}"
+            return f"stale cached stats (cut {node.cut!r} vs {cut!r}) at {format_path(path)}"
     return None
 
 

@@ -152,6 +152,15 @@ class TestEntropyCommand:
         assert "--trace needs --dim" in capsys.readouterr().err
         assert not (files / "trace.txt").exists()
 
+    def test_dim_below_two_exit_2(self, files, capsys):
+        for dim in (0, 1, -3):
+            for extra in ((), ("--trace", files / "trace.txt")):
+                code, out, err = run(capsys, "entropy", "--graph", files / "k4.tsv",
+                                     "--dim", dim, *extra)
+                assert code == 2 and "height cap" in err
+                assert out == ""
+                assert not (files / "trace.txt").exists()
+
     def test_deeply_nested_tree_document_exit_1(self, files, capsys):
         # a caterpillar over a path graph: valid, but 1000 levels deep
         depth = 1000

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -346,6 +347,47 @@ class TestInsertPoint:
                     [shape(c) for c in n.children])
         assert shape(kt.root) == shape(ds.knowledge.root)
         assert shape(at.root) == shape(ds.abstractions.root)
+
+    def test_leaf_at_height_cap_keeps_cap(self):
+        # the matched abstraction is the leaf of sample 0, at depth 2 = cap;
+        # x must join its parent module, not grow that leaf into a module
+        sim = planted_similarity([range(4), range(4, 8)])
+        catalog = FeatureCatalog({
+            str(i): FeatureSet(frozenset({"b1" if i < 4 else "b2", f"u{i}"}))
+            for i in range(8)})
+        space = st.build_data_space(sim, catalog, height=2)
+        sims = {str(i): (0.5 if i < 4 else 0.0) for i in range(8)}
+        ds, report = st.insert_point(space, "x", sims, syntax={"b1", "u0"})
+        assert ds.decoder.height() <= ds.height
+        assert st.validate(ds.graph, ds.decoder) is None
+        assert "x" in report.module
+
+    def test_random_inserts_keep_invariants(self):
+        rng = random.Random(5)
+        for height in (2, 3):
+            for unique in (False, True):
+                sizes = [rng.randint(2, 4) for _ in range(rng.randint(2, 3))]
+                starts = np.cumsum([0] + sizes)
+                blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
+                catalog = FeatureCatalog({
+                    str(v): FeatureSet(frozenset({f"b{bi}"} | ({f"u{v}"} if unique else set())))
+                    for bi, block in enumerate(blocks) for v in block})
+                ds = st.build_data_space(planted_similarity(blocks), catalog, height=height)
+                n = int(starts[-1])
+                for j in range(3):
+                    sims = {vid: rng.choice([0.0, 0.1, 0.5, 1.0]) + 0.01 * rng.random()
+                            for vid in ds.graph.vertex_ids}
+                    syntax = {f"b{rng.randrange(len(blocks))}", f"u{rng.randrange(n)}"}
+                    ds, report = st.insert_point(ds, f"x{j}", sims, syntax=syntax)
+                    assert ds.decoder.height() <= ds.height == height
+                    assert st.validate(ds.graph, ds.decoder) is None
+                    assert report.h_after == st.structural_entropy(ds.graph, ds.decoder)
+                    assert f"x{j}" in report.module
+
+    def test_decoder_taller_than_cap_rejected(self, block_space):
+        tall = dataclasses.replace(block_space, height=1)
+        with pytest.raises(InvariantViolation, match="taller than the height cap"):
+            st.insert_point(tall, "x", {"0": 0.5})
 
     def test_fresh_id_required(self, block_space):
         with pytest.raises(InvariantViolation, match="already present"):
