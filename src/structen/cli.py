@@ -18,7 +18,7 @@ from .learning import (DataSpace, FeatureCatalog, FeatureSet, abstraction_tree,
                        knowledge_tree)
 from .metrics import info_report
 from .optimize import brute_force_2d, brute_force_kd, minimize_kd
-from .tree import deserialize, format_path, serialize
+from .tree import deserialize, fold, format_path, serialize
 
 
 def _fmt(x: float) -> str:
@@ -114,15 +114,28 @@ def _space_doc(ds: DataSpace) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _space_from_doc(doc) -> DataSpace:
     for key in ("vertices", "edges", "decoder", "catalog", "height", "construction_k"):
         if not isinstance(doc, dict) or key not in doc:
             raise GraphParseError(f"space document: missing {key!r}")
-    g = Graph(doc["vertices"], [tuple(e) for e in doc["edges"]])
+    for key in ("height", "construction_k"):
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise GraphParseError(f"space document: {key!r} must be an integer")
+    if not isinstance(doc["vertices"], list):
+        raise GraphParseError("space document: 'vertices' must be a list")
+    edges = doc["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 3 for e in edges):
+        raise GraphParseError("space document: each edge must be a [u, v, weight] list")
+    if not all(_is_number(w) for _, _, w in edges):
+        raise GraphParseError("space document: edge weights must be numbers")
+    g = Graph(doc["vertices"], edges)
     decoder = deserialize(g, doc["decoder"])
     catalog = FeatureCatalog.from_dict(doc["catalog"])
-    return DataSpace.from_decoder(g, decoder, catalog, int(doc["construction_k"]),
-                                  int(doc["height"]), (),
+    return DataSpace.from_decoder(g, decoder, catalog, doc["construction_k"], doc["height"], (),
                                   str(doc.get("abstraction_source", "syntax")))
 
 
@@ -132,8 +145,11 @@ def cmd_insert(args) -> int:
     if not isinstance(point, dict) or "id" not in point or "sims" not in point:
         raise GraphParseError(f"{args.point}: point document needs 'id' and 'sims'")
     sims = point["sims"]
-    if not isinstance(sims, dict):
+    if not isinstance(sims, dict) or not all(_is_number(w) for w in sims.values()):
         raise GraphParseError(f"{args.point}: 'sims' must map vertex ids to weights")
+    for key in ("syntax", "semantics"):
+        if not isinstance(point.get(key, []), list):
+            raise GraphParseError(f"{args.point}: {key!r} must be a list of tokens")
     updated, report = insert_point(ds, point["id"], sims,
                                    syntax=point.get("syntax", []),
                                    semantics=point.get("semantics", []))
@@ -147,14 +163,17 @@ def cmd_insert(args) -> int:
     return 0
 
 
-def _feature_tree_doc(g: Graph, node, leaf_vertex: bool) -> dict:
-    doc: dict = {"features": sorted(node.features)}
-    if node.is_leaf and leaf_vertex and len(node.vertices) == 1:
-        doc["vertex"] = g.vertex_ids[next(iter(node.vertices))]
-    else:
-        doc["vertices"] = sorted(g.vertex_ids[v] for v in node.vertices)
-        doc["children"] = [_feature_tree_doc(g, c, leaf_vertex) for c in node.children]
-    return doc
+def _feature_tree_doc(g: Graph, root, leaf_vertex: bool) -> dict:
+    def node_doc(node, children) -> dict:
+        doc: dict = {"features": sorted(node.features)}
+        if node.is_leaf and leaf_vertex and len(node.vertices) == 1:
+            doc["vertex"] = g.vertex_ids[next(iter(node.vertices))]
+        else:
+            doc["vertices"] = sorted(g.vertex_ids[v] for v in node.vertices)
+            doc["children"] = children
+        return doc
+
+    return fold(root, node_doc)
 
 
 def cmd_knowledge(args) -> int:

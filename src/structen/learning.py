@@ -20,7 +20,7 @@ from .errors import GraphParseError, InvariantViolation
 from .graph import Graph, one_dim_entropy, positive_pairs, smallest_connected
 from .metrics import structural_entropy
 from .optimize import minimize_kd
-from .tree import EncodingTree, TreeNode, codeword, refresh_stats
+from .tree import EncodingTree, TreeNode, codeword, fold, refresh_stats, walk
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,6 @@ class FeatureCatalog:
 
     def __init__(self, entries: Mapping[str, FeatureSet] | None = None):
         self._entries: dict[str, FeatureSet] = dict(entries or {})
-
-    def __contains__(self, vid) -> bool:
-        return str(vid) in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def ids(self):
-        return self._entries.keys()
 
     def entry(self, vid) -> FeatureSet:
         try:
@@ -113,37 +104,24 @@ class FeatureNode:
 
 class _FeatureTree:
     __slots__ = ("root",)
+    mirrors_decoder = False  # True for a tree with the decoder's shape
 
     def __init__(self, root: FeatureNode):
         self.root = root
-        _assign_positions(root, ())
-
-    def walk(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def node_at(self, path) -> FeatureNode:
-        node = self.root
-        for i in path:
-            node = node.children[i]
-        return node
+        for path, node in walk(root):
+            node.path = path
+            if self.mirrors_decoder:
+                node.decoder_path = path
 
 
 class KnowledgeTree(_FeatureTree):
     """Decoder annotated with the common features of each marker."""
 
+    mirrors_decoder = True
+
 
 class AbstractionTree(_FeatureTree):
     """Knowledge tree with equal-feature parent-child edges contracted."""
-
-
-def _assign_positions(node: FeatureNode, path) -> None:
-    node.path = path
-    for i, child in enumerate(node.children):
-        _assign_positions(child, path + (i,))
 
 
 def knowledge_tree(g: Graph, t: EncodingTree, catalog: FeatureCatalog,
@@ -151,37 +129,34 @@ def knowledge_tree(g: Graph, t: EncodingTree, catalog: FeatureCatalog,
     """Annotate every tree node with the intersection of member feature sets."""
     catalog.require_cover(g)
 
-    def rec(node: TreeNode, path) -> FeatureNode:
+    def annotate(node: TreeNode, children) -> FeatureNode:
         if node.is_leaf:
             feats = catalog.entry(g.vertex_ids[node.vertex]).pick(source)
-            return FeatureNode(feats, node.vertices, path)
-        children = [rec(c, path + (i,)) for i, c in enumerate(node.children)]
-        feats = frozenset.intersection(*(c.features for c in children))
-        return FeatureNode(feats, node.vertices, path, children)
+        else:
+            feats = frozenset.intersection(*(c.features for c in children))
+        return FeatureNode(feats, node.vertices, (), children)
 
-    return KnowledgeTree(rec(t.root, ()))
+    return KnowledgeTree(fold(t.root, annotate))
 
 
 def abstraction_tree(kt: KnowledgeTree) -> AbstractionTree:
     """Contract equal-feature parent-child edges; feature sets grow strictly."""
 
-    def rec(node: FeatureNode) -> FeatureNode:
-        out = FeatureNode(node.features, node.vertices, node.decoder_path)
+    def contract(node: FeatureNode, children) -> FeatureNode:
         merged: list[FeatureNode] = []
-        for child in (rec(c) for c in node.children):
+        for child in children:
             if child.features == node.features:
                 merged.extend(child.children)  # absorb; grandchildren are strict already
             else:
                 merged.append(child)
         merged.sort(key=lambda c: min(c.vertices))
-        out.children = merged
-        return out
+        return FeatureNode(node.features, node.vertices, node.decoder_path, merged)
 
-    return AbstractionTree(rec(kt.root))
+    return AbstractionTree(fold(kt.root, contract))
 
 
 def check_strict_growth(at: AbstractionTree) -> str | None:
-    for node in at.walk():
+    for _, node in walk(at.root):
         for child in node.children:
             if not node.features < child.features:
                 return f"feature sets do not grow strictly below {node.path}"
@@ -225,9 +200,9 @@ def choose_abstraction(ds: "DataSpace", features: Iterable[str]) -> FeatureNode:
     query = frozenset(map(str, features))
     best = None
     best_key = None
-    for node in ds.abstractions.walk():
+    for path, node in walk(ds.abstractions.root):
         if node.features and node.features <= query:
-            key = (-len(node.path), -len(node.features), node.path)
+            key = (-len(path), -len(node.features), path)
             if best_key is None or key < best_key:
                 best_key, best = key, node
     return best if best is not None else ds.abstractions.root
@@ -384,7 +359,7 @@ def _slots(t: EncodingTree, module_path, cap: int) -> list[tuple[int, ...]]:
     siblings; only paths shorter than `cap` stay, since x lands one level
     below its slot.
     """
-    paths = [module_path + p for p, _ in EncodingTree(t.node_at(module_path)).walk()]
+    paths = [module_path + p for p, _ in walk(t.node_at(module_path))]
     if module_path:
         parent_path = module_path[:-1]
         paths.append(parent_path)

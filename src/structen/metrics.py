@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .errors import InvariantViolation
 from .graph import (Graph, VertexSet, check_distribution, conductance_exact,
                     cut_weight, one_dim_entropy, subset_volume)
-from .tree import EncodingTree, TreeNode, check_valid, validate_structure
+from .tree import EncodingTree, TreeNode, check_valid, fold, validate_structure
 
 IDENTITY_TOL = 1e-9
 
@@ -110,15 +110,12 @@ def distribution_entropy(p: Sequence[float], t: EncodingTree) -> float:
 
     masses: dict[int, float] = {}
 
-    def mass(node: TreeNode) -> float:
-        if node.is_leaf:
-            m = p[node.vertex]
-        else:
-            m = sum(mass(c) for c in node.children)
+    def mass(node: TreeNode, child_masses) -> float:
+        m = p[node.vertex] if node.is_leaf else sum(child_masses)
         masses[id(node)] = m
         return m
 
-    total = mass(t.root)
+    total = fold(t.root, mass)
     acc = 0.0
     for child, parent in _node_terms(t):
         mc, mp = masses[id(child)], masses[id(parent)]

@@ -7,7 +7,8 @@ the parent marker; leaves are singletons; child order is by smallest vertex.
 
 from __future__ import annotations
 
-from typing import Iterator
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from .errors import GraphParseError, InvariantViolation
 from .graph import Graph, VertexSet
@@ -40,12 +41,10 @@ class TreeNode:
         return min(self.vertices)
 
     def height(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(c.height() for c in self.children)
+        return fold(self, lambda node, heights: 1 + max(heights) if heights else 0)
 
     def copy(self) -> "TreeNode":
-        return TreeNode(self.vertices, self.vol, self.cut, [c.copy() for c in self.children])
+        return fold(self, lambda node, kids: TreeNode(node.vertices, node.vol, node.cut, kids))
 
     def __repr__(self):
         kind = "leaf" if self.is_leaf else f"node[{len(self.children)}]"
@@ -80,18 +79,14 @@ class EncodingTree:
         return node
 
     def walk(self) -> Iterator[tuple[NodePath, TreeNode]]:
-        """Preorder traversal yielding (path, node)."""
-        stack = [((), self.root)]
-        while stack:
-            path, node = stack.pop()
-            yield path, node
-            for i in range(len(node.children) - 1, -1, -1):
-                stack.append((path + (i,), node.children[i]))
+        return walk(self.root)
 
     def __eq__(self, other):
         if not isinstance(other, EncodingTree):
             return NotImplemented
-        return _same_shape(self.root, other.root)
+        # equal markers and child counts in preorder pin down the same shape
+        return all(a.vertices == b.vertices and len(a.children) == len(b.children)
+                   for (_, a), (_, b) in zip(walk(self.root), walk(other.root)))
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -101,10 +96,32 @@ class EncodingTree:
         return f"EncodingTree(n={self.n}, height={self.height()})"
 
 
-def _same_shape(a: TreeNode, b: TreeNode) -> bool:
-    if a.vertices != b.vertices or len(a.children) != len(b.children):
-        return False
-    return all(_same_shape(x, y) for x, y in zip(a.children, b.children))
+def fold(root, f: Callable, children: Callable = attrgetter("children")):
+    """Children-first fold without recursion: `f(node, child_results)` runs
+    on every node after all of its children, with a fresh list it may keep;
+    returns its value at the root.
+    """
+    order = [root]  # breadth-first, so each node's children form one slice
+    bounds = [1]  # the children of order[i] are order[bounds[i]:bounds[i + 1]]
+    for node in order:
+        order.extend(children(node))
+        bounds.append(len(order))
+    hi = len(order)
+    for i in range(hi - 1, -1, -1):  # each result replaces its node in place
+        lo = bounds[i]
+        order[i] = f(order[i], order[lo:hi])
+        hi = lo
+    return order[0]
+
+
+def walk(root) -> Iterator[tuple[NodePath, object]]:
+    """Preorder traversal of any node with `.children`, yielding (path, node)."""
+    stack = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for i in range(len(node.children) - 1, -1, -1):
+            stack.append((path + (i,), node.children[i]))
 
 
 def format_path(path) -> str:
@@ -135,32 +152,37 @@ def from_partition(g: Graph, parts) -> EncodingTree:
         raise InvariantViolation("empty part")
     if len(parts) < 2:
         raise InvariantViolation("a partition tree needs at least 2 parts")
-    children = [TreeNode(part, children=[TreeNode((v,)) for v in sorted(part)])
-                if len(part) > 1 else TreeNode(part)
-                for part in sorted(parts, key=min)]
-    t = EncodingTree(TreeNode(range(g.n), children=children))
-    refresh_stats(g, t)
-    return t
+    if sum(map(len, parts)) != g.n or frozenset().union(*parts) != frozenset(range(g.n)):
+        raise InvariantViolation(
+            "invalid encoding tree: children do not partition the marker at root")
+    return build_tree(g, [sorted(part) if len(part) > 1 else min(part)
+                          for part in sorted(parts, key=min)])
 
 
 def build_tree(g: Graph, spec) -> EncodingTree:
     """Build a tree from a nested spec: an int is a leaf, a list/tuple a node.
 
     Example: [[0, 1], [2, [3, 4]]] is a height-3 tree over 5 vertices.
-    Stats are computed from the graph.
+    Stats are computed from the graph.  This is the one place that makes a
+    node's marker from its children.
     """
 
-    def rec(s) -> TreeNode:
+    def node(s, children) -> TreeNode:
         if isinstance(s, int):
             return TreeNode((s,))
-        children = [rec(c) for c in s]
         if not children:
             raise InvariantViolation("empty node spec")
         return TreeNode(frozenset().union(*(c.vertices for c in children)), children=children)
 
-    t = EncodingTree(rec(spec))
+    t = EncodingTree(fold(spec, node, _spec_children))
     refresh_stats(g, t)
     return t
+
+
+def _spec_children(s):
+    if isinstance(s, str):  # iterating a string never bottoms out
+        raise InvariantViolation(f"bad node spec {s!r}")
+    return () if isinstance(s, int) else s
 
 
 def _node_stats(g: Graph, t: EncodingTree) -> list[tuple[NodePath, TreeNode, float, float]]:
@@ -264,30 +286,29 @@ def codeword(t: EncodingTree, v: int) -> NodePath:
 def serialize(g: Graph, t: EncodingTree) -> dict:
     """JSON-shaped document; stats are always emitted."""
 
-    def rec(node: TreeNode) -> dict:
+    def doc(node: TreeNode, children) -> dict:
         if node.is_leaf:
             return {"vertex": g.vertex_ids[node.vertex], "vol": node.vol, "cut": node.cut}
-        return {"children": [rec(c) for c in node.children], "vol": node.vol, "cut": node.cut}
+        return {"children": children, "vol": node.vol, "cut": node.cut}
 
-    return rec(t.root)
+    return fold(t.root, doc)
 
 
 def deserialize(g: Graph, doc) -> EncodingTree:
-    """Rebuild a tree from a document; cached stats are recomputed, not trusted."""
+    """Rebuild a tree from a document, checked node by node; its stats are not trusted."""
 
-    def rec(d) -> TreeNode:
+    def children(d):
         if not isinstance(d, dict):
             raise GraphParseError("tree document: node must be an object")
         if "vertex" in d:
             vid = str(d["vertex"])
             if vid not in g.index:
                 raise GraphParseError(f"tree document: unknown vertex id {vid!r}")
-            return TreeNode((g.index[vid],))
+            return ()
         if "children" not in d or not isinstance(d["children"], list) or not d["children"]:
             raise GraphParseError("tree document: node needs 'vertex' or a non-empty 'children'")
-        children = [rec(c) for c in d["children"]]
-        return TreeNode(frozenset().union(*(c.vertices for c in children)), children=children)
+        return d["children"]
 
-    t = EncodingTree(rec(doc))
-    refresh_stats(g, t)
-    return t
+    spec = fold(doc, lambda d, specs: g.index[str(d["vertex"])] if "vertex" in d else specs,
+                children)
+    return build_tree(g, spec)

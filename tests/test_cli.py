@@ -298,6 +298,50 @@ class TestInsertCommand:
         assert code == 2 and "already present" in err
 
 
+BAD_INSERT_INPUTS = [
+    # (document, key path, new value, exit code, stderr fragment)
+    *[("space", (key,), value, 1, f"{key!r} must be an integer")
+      for key in ("height", "construction_k") for value in ("abc", 2.7, 1.5, True)],
+    ("space", ("vertices",), "s0s1s2", 1, "'vertices' must be a list"),
+    ("space", ("vertices",), {"s0": 1}, 1, "'vertices' must be a list"),
+    ("space", ("edges",), {"s0": "s1"}, 1, "each edge must be a [u, v, weight] list"),
+    ("space", ("edges", 0), ["s0", "s1"], 1, "each edge must be a [u, v, weight] list"),
+    ("space", ("edges", 0), "s0s1", 1, "each edge must be a [u, v, weight] list"),
+    ("space", ("edges", 0), ["s0", "s1", 1.0, 2.0], 1, "each edge must be a [u, v, weight] list"),
+    *[("space", ("edges", 0), ["s0", "s1", w], 1, "edge weights must be numbers")
+      for w in ("1.0", None, True)],
+    *[("point", ("sims", "s0"), value, 1, "'sims' must map vertex ids to weights")
+      for value in ("0.5", None)],
+    *[("point", (key,), value, 1, f"{key!r} must be a list of tokens")
+      for key in ("syntax", "semantics") for value in (5, "abc")],
+    # numbers of the right type but out of range stay invariant violations
+    ("space", ("height",), 1, 2, "taller than the height cap"),
+    ("space", ("edges", 0), ["s0", "s1", -1.0], 2, "non-positive weight"),
+    ("point", ("sims", "s0"), -0.5, 2, "negative or non-finite similarity"),
+]
+
+
+class TestInsertDocumentTypes:
+    @pytest.mark.parametrize(
+        "target, keys, value, code, message", BAD_INSERT_INPUTS,
+        ids=[f"{t}.{'.'.join(map(str, k))}={v!r}" for t, k, v, _, _ in BAD_INSERT_INPUTS])
+    def test_bad_value_exits_cleanly(self, files, capsys, target, keys, value, code, message):
+        run(capsys, "build", "--similarity", files / "blocks.csv",
+            "--height", 2, "--features", files / "blockfeat.json",
+            "--space-out", files / "space.json")
+        path = files / f"{target}.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got, out, err = run(capsys, "insert", "--space", files / "space.json",
+                            "--point", files / "point.json")
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 class TestKnowledgeCommand:
     def test_worked_example(self, files, capsys):
         out_doc = files / "kdoc.json"

@@ -1,10 +1,12 @@
 import json
 import random
+import sys
 
 import pytest
 
 import structen as st
 from structen import GraphParseError, InvariantViolation
+from structen.learning import check_strict_growth
 from structen.tree import TreeNode
 
 from conftest import random_connected_graph, random_encoding_tree
@@ -183,6 +185,29 @@ class TestBuildTree:
         assert st.validate(barbell, t) is None
         assert t.height() == 3
 
+    @pytest.mark.parametrize("spec, message", [
+        ([[0, 1], [1, 2, 3]], "children do not partition the marker at root"),
+        ([[0, 1], [2, 3, 3]], "children do not partition the marker at 1"),
+        ([[0, 1], [2]], "root marker must be the whole item set (at root)"),
+    ])
+    def test_repeated_or_missing_vertex(self, k4, spec, message):
+        # vertex ints repeat across the spec (and small ints are shared
+        # objects), so nothing may be keyed by node identity
+        def doc(s):
+            if isinstance(s, int):
+                return {"vertex": str(s)}
+            return {"children": [doc(c) for c in s]}
+
+        for build in (lambda: st.build_tree(k4, spec), lambda: st.deserialize(k4, doc(spec))):
+            with pytest.raises(InvariantViolation) as err:
+                build()
+            assert str(err.value) == f"invalid encoding tree: {message}"
+
+    def test_string_in_spec_rejected(self, k4):
+        # a one-letter string iterates to itself, so it must not pass as a node
+        with pytest.raises(InvariantViolation, match="bad node spec '23'"):
+            st.build_tree(k4, [[0, 1], "23"])
+
     def test_refresh_stats_fixes_staleness(self, k4):
         t = st.star_tree(k4)
         t.root.children[0].vol = 123.0
@@ -212,3 +237,42 @@ class TestOnePassStats:
         t.root.children.pop()
         with pytest.raises(InvariantViolation, match="invalid encoding tree"):
             st.refresh_stats(k4, t)
+
+
+class TestDeepTrees:
+    def test_caterpillar_through_public_calls(self):
+        # every internal node holds one leaf and the next internal node, so
+        # the tree is as deep as a path graph allows; no call may recurse
+        assert sys.getrecursionlimit() == 1000
+        depth = 3000
+        n = depth + 1
+        g = st.Graph.from_index_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        spec = [n - 2, n - 1]
+        for v in range(n - 3, -1, -1):
+            spec = [v, spec]
+        t = st.build_tree(g, spec)
+        assert t.height() == depth
+        dup = t.copy()
+        assert dup == t and dup.root is not t.root
+        assert st.deserialize(g, st.serialize(g, t)) == t
+        assert st.structural_entropy(g, t) == pytest.approx(
+            st.structural_entropy_edgewise(g, t), abs=1e-9)
+        assert st.codeword(t, n - 1) == (1,) * depth
+        assert st.codeword(t, 5) == (1,) * 5 + (0,)
+
+        total = n * (n + 1) / 2
+        p = [(v + 1) / total for v in range(n)]
+        assert st.distribution_entropy(p, t) == pytest.approx(st.shannon_entropy(p), abs=1e-9)
+
+        catalog = st.FeatureCatalog({str(v): st.FeatureSet(frozenset({"c"}), frozenset({f"v{v}"}))
+                                     for v in range(n)})
+        ds = st.DataSpace.from_decoder(g, t, catalog, construction_k=n - 1, height=depth)
+        pairs = list(zip(t.walk(), st.tree.walk(ds.knowledge.root)))
+        assert max(len(path) for (path, _), _ in pairs) == depth
+        for (path, node), (kpath, knode) in pairs:
+            assert kpath == path and knode.path == knode.decoder_path == path
+            assert knode.vertices == node.vertices
+            assert knode.features == ({"c", f"v{node.vertex}"} if node.is_leaf else {"c"})
+        # every syntax set is {"c"}, so the whole chain contracts into the root
+        assert check_strict_growth(ds.abstractions) is None
+        assert ds.abstractions.root.features == {"c"} and ds.abstractions.root.is_leaf
