@@ -52,7 +52,10 @@ class Graph:
                 missing = u_id if u_id not in self.index else v_id
                 raise InvariantViolation(f"edge endpoint {missing!r} is not a vertex")
             u, v = self.index[u_id], self.index[v_id]
-            w = float(w)
+            try:
+                w = float(w)
+            except OverflowError:  # an integer beyond the float range
+                w = math.inf
             if u == v:
                 raise InvariantViolation(f"self-loop at vertex {u_id!r}")
             if not w > 0:
@@ -231,7 +234,10 @@ def one_dim_entropy(g: Graph) -> float:
 
 
 def _check_similarity(sim) -> np.ndarray:
-    a = np.asarray(sim, dtype=float)
+    try:
+        a = np.asarray(sim, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise InvariantViolation("similarity matrix has a non-finite entry") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvariantViolation("similarity matrix must be square")
     if a.shape[0] < 2:

@@ -305,7 +305,10 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     weights = []
     for vid, w in sims.items():
         v = _vertex_index(g, vid)
-        w = float(w)
+        try:
+            w = float(w)
+        except OverflowError:  # an integer beyond the float range
+            w = math.inf
         if not 0 <= w < math.inf:
             raise InvariantViolation(f"negative or non-finite similarity for {vid!r}")
         if w > 0:
@@ -316,23 +319,24 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
 
     features = FeatureSet(frozenset(map(str, syntax)), frozenset(map(str, semantics)))
     target = choose_abstraction(ds, features.pick(ds.abstraction_source))
-    home, *others = _slots(ds.decoder, target.decoder_path, ds.height)
-
     h_before = structural_entropy(g, ds.decoder)
     x = g.n
+    placements = [_apply_position(ds.decoder, path, x)
+                  for path in _slots(ds.decoder, target.decoder_path, ds.height)]
+    home = new_tree = placements[0]
     old_edges = [(g.vertex_ids[u], g.vertex_ids[v], w) for u, v, w in g.edges]
     ids2 = g.vertex_ids + (point_id,)
 
     best_d = -float("inf")
     for k in range(1, len(weights) + 1):
         gk = Graph(ids2, old_edges + [(g.vertex_ids[v], point_id, w) for w, v in weights[:k]])
-        tk = _apply_position(gk, ds.decoder, home, x)
-        h = structural_entropy(gk, tk, check=False)
+        refresh_stats(gk, home)
+        h = structural_entropy(gk, home, check=False)
         d = one_dim_entropy(gk) - h
         if d > best_d:
-            best_d, best_k, new_graph, new_tree, best_h = d, k, gk, tk, h
-    for path in others:
-        tree = _apply_position(new_graph, ds.decoder, path, x)
+            best_d, best_k, new_graph, best_h = d, k, gk, h
+    for tree in placements:  # home first: on the winning graph it scores best_h again
+        refresh_stats(new_graph, tree)
         h = structural_entropy(new_graph, tree, check=False)
         if h < best_h - 1e-12:
             best_h, new_tree = h, tree
@@ -368,11 +372,11 @@ def _slots(t: EncodingTree, module_path, cap: int) -> list[tuple[int, ...]]:
     return [p for p in paths if len(p) < cap]
 
 
-def _apply_position(gx: Graph, decoder: EncodingTree, path, x: int) -> EncodingTree:
+def _apply_position(decoder: EncodingTree, path, x: int) -> EncodingTree:
     """Decoder copy with x inserted as a new leaf at the node at path.
 
     An internal node gains x as one more child; a leaf grows into a
-    two-leaf module holding its vertex and x.
+    two-leaf module holding its vertex and x.  Its stats are left stale.
     """
     t = decoder.copy()
     node = t.root
@@ -386,7 +390,6 @@ def _apply_position(gx: Graph, decoder: EncodingTree, path, x: int) -> EncodingT
         node.children.append(leaf)
         node.children.sort(key=TreeNode.min_vertex)
     node.vertices |= {x}
-    refresh_stats(gx, t)
     return t
 
 

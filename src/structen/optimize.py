@@ -97,10 +97,6 @@ def _flat_merge_delta(vol: float, v_parent: float, va: float, ga: float,
             + va * la + vb * lb - vm * lm) / vol
 
 
-def _is_flat(node: TreeNode) -> bool:
-    return node.is_leaf or all(c.is_leaf for c in node.children)
-
-
 def merge_delta(g: Graph, t: EncodingTree, a, b) -> float:
     """Entropy decrease from fusing two flat sibling modules (or leaves).
 
@@ -111,7 +107,7 @@ def merge_delta(g: Graph, t: EncodingTree, a, b) -> float:
     if not pa or not pb or pa[:-1] != pb[:-1] or pa == pb:
         raise InvariantViolation("merge_delta needs two distinct sibling nodes")
     na, nb = t.node_at(pa), t.node_at(pb)
-    if not (_is_flat(na) and _is_flat(nb)):
+    if max(na.height(), nb.height()) > 1:
         raise InvariantViolation("merge_delta needs flat modules (children must be leaves)")
     parent = t.node_at(pa[:-1])
     w = cross_weight(g, na.vertices, nb.vertices)
@@ -159,9 +155,10 @@ def _combined_node(a: TreeNode, b: TreeNode, w_ab: float) -> TreeNode:
 
 
 def _replace_pair(parent: TreeNode, a: TreeNode, b: TreeNode, new: TreeNode) -> None:
-    parent.children = [c for c in parent.children if c is not a and c is not b]
-    parent.children.append(new)
-    parent.children.sort(key=TreeNode.min_vertex)
+    # The new node takes the earlier operand's slot: min-vertex order holds.
+    i, j = parent.children.index(a), parent.children.index(b)
+    parent.children[min(i, j)] = new
+    del parent.children[max(i, j)]
 
 
 def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None) -> EncodingTree:
@@ -181,6 +178,7 @@ def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None
             raise InvariantViolation(f"height cap exceeded ({new_height} > {height_cap})")
     w = cross_weight(g, na.vertices, nb.vertices)
     _replace_pair(parent, na, nb, _combined_node(na, nb, w))
+    parent.children.sort(key=TreeNode.min_vertex)  # a user's tree may be unordered
     return out
 
 
@@ -305,7 +303,7 @@ def _greedy_phase(g: Graph, t: EncodingTree, k: int | None,
         for i in rows[a][b]:
             w += edges[i][2]
         if fits(0, a, b, up):
-            if _is_flat(a) and _is_flat(b):
+            if height[a] <= 1 and height[b] <= 1:
                 d = _flat_merge_delta(vol, up.vol, a.vol, a.cut, b.vol, b.cut, w)
             else:
                 d = _general_merge_delta(vol, up, a, b, w)

@@ -88,10 +88,6 @@ class EncodingTree:
         return all(a.vertices == b.vertices and len(a.children) == len(b.children)
                    for (_, a), (_, b) in zip(walk(self.root), walk(other.root)))
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __repr__(self):
         return f"EncodingTree(n={self.n}, height={self.height()})"
 

@@ -90,6 +90,13 @@ def items_tree(spec):
     return EncodingTree(rec(spec))
 
 
+def assert_children_ordered(t):
+    """Every node's children in strictly increasing min-vertex order."""
+    for _, node in t.walk():
+        lows = [min(c.vertices) for c in node.children]
+        assert all(a < b for a, b in zip(lows, lows[1:])), lows
+
+
 def planted_similarity(blocks, within=1.0, cross=0.1):
     n = sum(len(b) for b in blocks)
     m = np.full((n, n), cross)

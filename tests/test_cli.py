@@ -318,13 +318,16 @@ BAD_INSERT_INPUTS = [
     ("space", ("height",), 1, 2, "taller than the height cap"),
     ("space", ("edges", 0), ["s0", "s1", -1.0], 2, "non-positive weight"),
     ("point", ("sims", "s0"), -0.5, 2, "negative or non-finite similarity"),
+    # JSON integers too large for a float
+    ("space", ("edges", 0), ["s0", "s1", 10 ** 400], 2, "non-finite weight"),
+    ("point", ("sims", "s0"), 10 ** 400, 2, "negative or non-finite similarity"),
 ]
 
 
 class TestInsertDocumentTypes:
     @pytest.mark.parametrize(
         "target, keys, value, code, message", BAD_INSERT_INPUTS,
-        ids=[f"{t}.{'.'.join(map(str, k))}={v!r}" for t, k, v, _, _ in BAD_INSERT_INPUTS])
+        ids=[f"{t}.{'.'.join(map(str, k))}={v!r:.40}" for t, k, v, _, _ in BAD_INSERT_INPUTS])
     def test_bad_value_exits_cleanly(self, files, capsys, target, keys, value, code, message):
         run(capsys, "build", "--similarity", files / "blocks.csv",
             "--height", 2, "--features", files / "blockfeat.json",

@@ -48,6 +48,9 @@ class TestLoadGraph:
             st.load_graph(write(tmp_path, "a b 1\nb c inf\n"))
         with pytest.raises(InvariantViolation, match="overflows"):
             st.load_graph(write(tmp_path, "a b 1e308\nb c 1e308\n"))
+        for w in (10 ** 400, -10 ** 400):  # integers too large for a float
+            with pytest.raises(InvariantViolation, match="non-finite weight"):
+                st.Graph.from_index_edges(3, [(0, 1, 1.0), (1, 2, w)])
 
     def test_parse_error_reports_line(self, tmp_path):
         with pytest.raises(GraphParseError, match=":2:"):

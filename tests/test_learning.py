@@ -8,7 +8,8 @@ import structen as st
 from structen import FeatureCatalog, FeatureSet, InvariantViolation
 from structen.learning import check_strict_growth
 
-from conftest import partition_ids, planted_similarity, random_connected_graph
+from conftest import (assert_children_ordered, partition_ids, planted_similarity,
+                      random_connected_graph)
 
 
 def catalog_of(entries):
@@ -277,6 +278,12 @@ class TestBuildDataSpace:
         with pytest.raises(InvariantViolation, match="connect"):
             st.build_data_space(sim, catalog, height=2)
 
+    def test_integer_beyond_float_range_rejected(self):
+        sim = [[0, 1, 10 ** 400], [1, 0, 1], [10 ** 400, 1, 0]]
+        catalog = FeatureCatalog({str(i): FeatureSet() for i in range(3)})
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            st.build_data_space(sim, catalog, height=2)
+
 
 class TestInsertPoint:
     @pytest.fixture
@@ -383,6 +390,7 @@ class TestInsertPoint:
                     assert st.validate(ds.graph, ds.decoder) is None
                     assert report.h_after == st.structural_entropy(ds.graph, ds.decoder)
                     assert f"x{j}" in report.module
+                    assert_children_ordered(ds.decoder)
 
     def test_decoder_taller_than_cap_rejected(self, block_space):
         tall = dataclasses.replace(block_space, height=1)
@@ -398,7 +406,7 @@ class TestInsertPoint:
             st.insert_point(block_space, "x", {"0": 0.0, "1": 0.0})
 
     def test_non_finite_similarity_rejected(self, block_space):
-        for x in (float("nan"), float("inf")):
+        for x in (float("nan"), float("inf"), 10 ** 400):
             with pytest.raises(InvariantViolation, match="non-finite"):
                 st.insert_point(block_space, "x", {"0": 0.5, "1": x})
 

@@ -6,7 +6,7 @@ import structen as st
 from structen import GraphParseError, InvariantViolation, SizeGuardExceeded
 from structen.optimize import cross_weight
 
-from conftest import random_connected_graph, two_cliques
+from conftest import assert_children_ordered, random_connected_graph, two_cliques
 
 BARBELL_H2 = 1.6995138503199656
 
@@ -79,6 +79,12 @@ class TestCombineApply:
         t1 = st.combine_apply(k4, st.star_tree(k4), (0,), (1,))
         with pytest.raises(InvariantViolation, match="sibling"):
             st.combine_apply(k4, t1, (0, 0), (1,))
+
+    def test_unordered_parent_comes_back_ordered(self, k4):
+        t = st.build_tree(k4, [[2, 3], 0, 1])
+        out = st.combine_apply(k4, t, (1,), (2,))
+        assert [sorted(c.vertices) for c in out.root.children] == [[0, 1], [2, 3]]
+        assert st.validate(k4, out) is None
 
 
 class TestMinimize2d:
@@ -162,6 +168,21 @@ class TestMinimizeKd:
     def test_invalid_cap(self, k4):
         with pytest.raises(InvariantViolation):
             st.minimize_kd(k4, 1)
+
+
+class TestChildOrder:
+    def test_greedy_and_replayed_trees_keep_min_vertex_order(self):
+        # every edit starts from the star tree and keeps each child list in
+        # min-vertex order, on weighted, unit-weight and path graphs
+        rng = random.Random(41)
+        graphs = [random_connected_graph(rng, 6, 16, weighted=w) for w in (True, False) * 4]
+        graphs += [st.Graph.from_index_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+                   for n in (7, 12, 20)]
+        for g in graphs:
+            for k in (2, 3, 4):
+                res = st.minimize_kd(g, k)
+                assert_children_ordered(res.tree)
+                assert_children_ordered(st.replay_trace(g, res.trace))
 
 
 class TestTraceContract:

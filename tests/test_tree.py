@@ -40,7 +40,10 @@ class TestFromPartition:
 
     def test_singletons_give_star(self, k4):
         t = st.from_partition(k4, [{0}, {1}, {2}, {3}])
-        assert t == st.star_tree(k4)
+        assert t == st.star_tree(k4) and not t != st.star_tree(k4)
+        other = st.from_partition(k4, [{0, 1}, {2}, {3}])
+        assert t != other and not t == other
+        assert t != "star" and not t == "star"
 
     def test_overlap_rejected(self, k4):
         with pytest.raises(InvariantViolation, match="partition"):
