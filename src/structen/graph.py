@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,9 +21,18 @@ from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
 # dense vertex indices; frozenset keeps subsets hashable and immutable
 VertexSet = frozenset
 
-_VOLUME_REL_TOL = 1e-12
+VOLUME_REL_TOL = 1e-12
 _DISTRIBUTION_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
+
+
+def left_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """Left-to-right float sum: ((start + a) + b) + ..., on every CPython.
+
+    From 3.12 on, the builtin `sum` compensates float rounding, so it would
+    no longer match a running `total += w`.
+    """
+    return reduce(add, values, start)
 
 
 class Graph:
@@ -72,15 +83,15 @@ class Graph:
 
         self.adj = tuple(adj)
         self.edges = tuple(edge_list)
-        self.degree = tuple(sum(nbrs.values()) for nbrs in adj)
-        self.volume = sum(self.degree)
+        self.degree = tuple(left_sum(nbrs.values()) for nbrs in adj)
+        self.volume = left_sum(self.degree)
         if self.volume == math.inf:
             raise InvariantViolation("graph volume overflows to inf")
 
         if 0.0 in self.degree or not self._connected():
             raise InvariantViolation("graph is disconnected")
-        twice_weight = 2.0 * sum(w for _, _, w in self.edges)
-        if abs(self.volume - twice_weight) > _VOLUME_REL_TOL * self.volume:
+        twice_weight = 2.0 * left_sum(w for _, _, w in self.edges)
+        if abs(self.volume - twice_weight) > VOLUME_REL_TOL * self.volume:
             raise InvariantViolation("volume bookkeeping out of tolerance")
 
     @classmethod
@@ -159,11 +170,11 @@ def _check_subset(g: Graph, s) -> VertexSet:
 def cut_weight(g: Graph, s) -> float:
     """Total weight of edges with exactly one endpoint in s."""
     s = _check_subset(g, s)
-    return sum(w for u, v, w in g.edges if (u in s) != (v in s))
+    return left_sum(w for u, v, w in g.edges if (u in s) != (v in s))
 
 
 def subset_volume(g: Graph, s) -> float:
-    return sum(g.degree[v] for v in s)
+    return left_sum(g.degree[v] for v in s)
 
 
 def conductance_subset(g: Graph, s) -> float:
@@ -212,9 +223,14 @@ def conductance_exact(g: Graph, max_n: int = 24) -> tuple[float, VertexSet]:
 
 
 def check_distribution(p: Sequence[float]) -> tuple[float, ...]:
-    p = tuple(float(x) for x in p)
+    try:
+        p = tuple(float(x) for x in p)
+    except OverflowError:  # an integer beyond the float range
+        raise InvariantViolation("distribution has a non-finite entry") from None
     if not p:
         raise InvariantViolation("empty distribution")
+    if not all(map(math.isfinite, p)):
+        raise InvariantViolation("distribution has a non-finite entry")
     if any(x < 0 for x in p):
         raise InvariantViolation("distribution has a negative entry")
     if abs(sum(p) - 1.0) > _DISTRIBUTION_TOL:

@@ -17,10 +17,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import GraphParseError, InvariantViolation
-from .graph import Graph, one_dim_entropy, positive_pairs, smallest_connected
-from .metrics import structural_entropy
+from .graph import (VOLUME_REL_TOL, Graph, left_sum, one_dim_entropy, positive_pairs,
+                    shannon_entropy, smallest_connected)
+from .metrics import cached_entropy, structural_entropy
 from .optimize import minimize_kd
-from .tree import EncodingTree, TreeNode, codeword, fold, refresh_stats, walk
+from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_chains,
+                   refresh_stats, validate_structure, walk)
 
 
 @dataclass(frozen=True)
@@ -292,9 +294,9 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     The first is the home slot: the module itself, or its parent when the
     module is a leaf at the height cap.  The attachment edge count is swept
     for maximal decodable information with the point in the home slot; on
-    the winning graph each other slot replaces the best so far only if its
-    entropy is lower by more than 1e-12.  No slot lets the decoder grow
-    past the space's height.
+    the winning graph, scored home first, each other slot replaces the best
+    so far only if its entropy is lower by more than 1e-12.  No slot lets
+    the decoder grow past the space's height.
     """
     point_id = str(point_id)
     g = ds.graph
@@ -323,19 +325,12 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     x = g.n
     placements = [_apply_position(ds.decoder, path, x)
                   for path in _slots(ds.decoder, target.decoder_path, ds.height)]
-    home = new_tree = placements[0]
-    old_edges = [(g.vertex_ids[u], g.vertex_ids[v], w) for u, v, w in g.edges]
-    ids2 = g.vertex_ids + (point_id,)
-
-    best_d = -float("inf")
-    for k in range(1, len(weights) + 1):
-        gk = Graph(ids2, old_edges + [(g.vertex_ids[v], point_id, w) for w, v in weights[:k]])
-        refresh_stats(gk, home)
-        h = structural_entropy(gk, home, check=False)
-        d = one_dim_entropy(gk) - h
-        if d > best_d:
-            best_d, best_k, new_graph, best_h = d, k, gk, h
-    for tree in placements:  # home first: on the winning graph it scores best_h again
+    best_k = _best_count(g, placements[0], weights, point_id)
+    new_graph = Graph(g.vertex_ids + (point_id,),
+                      [(g.vertex_ids[u], g.vertex_ids[v], w) for u, v, w in g.edges]
+                      + [(g.vertex_ids[v], point_id, w) for w, v in weights[:best_k]])
+    new_tree, best_h = None, math.inf
+    for tree in placements:  # home first
         refresh_stats(new_graph, tree)
         h = structural_entropy(new_graph, tree, check=False)
         if h < best_h - 1e-12:
@@ -354,6 +349,54 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
                           module=tuple(sorted(new_graph.vertex_ids[v] for v in module)),
                           h_before=h_before, h_after=h_after)
     return out, report
+
+
+def _best_count(g: Graph, home: EncodingTree, weights, point_id: str) -> int:
+    """Attachment count k with the most decodable information, H1 - H(home),
+    on g plus the edges from x = g.n to the first k (w, v) of `weights`;
+    ties keep the smaller k.
+
+    One pass over g's edges, then O(n + nodes) per count.  A count's graph
+    lists its new edges after every old one, both in its edges and in each
+    adjacency list, and every degree, volume, vol and cut is a left fold, so
+    each value here is bit for bit what `Graph` and `refresh_stats` compute
+    on that graph.  The checks `Graph` can fail on it are made at that
+    count, in its order and with its messages.  Writes stats into `home`.
+    """
+    x = g.n
+    msg = validate_structure(home, x + 1)
+    if msg:
+        raise InvariantViolation(f"invalid encoding tree: {msg}")
+    nodes, chains = leaf_chains(home)
+    cuts = [0.0] * len(nodes)
+    add_crossing(cuts, chains, g.edges)
+    deg = [*g.degree, 0.0]
+    for (_, node), cut in zip(nodes, cuts):
+        node.vol, node.cut = left_sum(deg[v] for v in node.vertices), cut
+    total = left_sum(w for _, _, w in g.edges)
+    attached = set()
+    best_d = -math.inf
+    for k, (w, v) in enumerate(weights, start=1):
+        if v in attached:  # two sims keys name one vertex
+            raise InvariantViolation(f"duplicate edge {g.vertex_ids[v]!r}-{point_id!r}")
+        attached.add(v)
+        deg[v] = g.degree[v] + w
+        deg[x] += w
+        volume = left_sum(deg)
+        if volume == math.inf:
+            raise InvariantViolation("graph volume overflows to inf")
+        total += w
+        if abs(volume - 2.0 * total) > VOLUME_REL_TOL * volume:
+            raise InvariantViolation("volume bookkeeping out of tolerance")
+        add_crossing(cuts, chains, ((v, x, w),))
+        for i in {*chains[v], *chains[x]}:
+            node = nodes[i][1]
+            node.vol, node.cut = left_sum(deg[u] for u in node.vertices), cuts[i]
+        h = cached_entropy(home, volume)
+        d = shannon_entropy(tuple(dv / volume for dv in deg)) - h
+        if d > best_d:
+            best_d, best_k = d, k
+    return best_k
 
 
 def _slots(t: EncodingTree, module_path, cap: int) -> list[tuple[int, ...]]:

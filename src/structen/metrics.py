@@ -68,29 +68,37 @@ def _node_terms(t: EncodingTree):
                 stack.append(child)
 
 
-def _tree_sum(g: Graph, t: EncodingTree, weight: Callable[[TreeNode], float],
-              check: bool) -> float:
+def _tree_sum(t: EncodingTree, vol: float, weight: Callable[[TreeNode], float]) -> float:
     # -sum over non-root nodes of weight / vol * log2(V_a / V_parent), for any
-    # marker weighting.
-    if check:
-        check_valid(g, t)
-    vol = g.volume
+    # marker weighting, from the cached stats.
     return -sum(weight(c) / vol * math.log2(c.vol / p.vol) for c, p in _node_terms(t))
+
+
+def cached_entropy(t: EncodingTree, vol: float) -> float:
+    """`structural_entropy` from the tree's cached stats alone, for a graph
+    of volume vol; nothing is checked."""
+    return _tree_sum(t, vol, lambda c: c.cut)
 
 
 def structural_entropy(g: Graph, t: EncodingTree, check: bool = True) -> float:
     """Uncertainty left in the graph under the tree's encoding (cut weighting)."""
-    return _tree_sum(g, t, lambda c: c.cut, check)
+    if check:
+        check_valid(g, t)
+    return cached_entropy(t, g.volume)
 
 
 def compressing_info(g: Graph, t: EncodingTree, check: bool = True) -> float:
     """Uncertainty eliminated by the tree: weights V_a - g_a instead of g_a."""
-    return _tree_sum(g, t, lambda c: c.vol - c.cut, check)
+    if check:
+        check_valid(g, t)
+    return _tree_sum(t, g.volume, lambda c: c.vol - c.cut)
 
 
 def module_entropy(g: Graph, t: EncodingTree, f: ModuleFunction, check: bool = True) -> float:
     """Generalized tree entropy with an arbitrary marker weighting."""
-    return _tree_sum(g, t, lambda c: f(g, c.vertices), check)
+    if check:
+        check_valid(g, t)
+    return _tree_sum(t, g.volume, lambda c: f(g, c.vertices))
 
 
 def decoding_info(g: Graph, t: EncodingTree, check: bool = True) -> float:

@@ -11,7 +11,7 @@ from operator import attrgetter
 from typing import Callable, Iterator
 
 from .errors import GraphParseError, InvariantViolation
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, left_sum
 
 STAT_TOL = 1e-9
 
@@ -72,10 +72,9 @@ class EncodingTree:
     def node_at(self, path) -> TreeNode:
         node = self.root
         for i in path:
-            try:
-                node = node.children[i]
-            except IndexError:
-                raise InvariantViolation(f"no node at path {format_path(path)}") from None
+            if not 0 <= i < len(node.children):
+                raise InvariantViolation(f"no node at path {format_path(path)}")
+            node = node.children[i]
         return node
 
     def walk(self) -> Iterator[tuple[NodePath, TreeNode]]:
@@ -181,13 +180,11 @@ def _spec_children(s):
     return () if isinstance(s, int) else s
 
 
-def _node_stats(g: Graph, t: EncodingTree) -> list[tuple[NodePath, TreeNode, float, float]]:
-    """(path, node, vol, cut) of every node in preorder, from one edge pass.
-
-    Each edge adds its weight to every node strictly below the branch point
-    of its endpoints' leaf chains.  Edges are taken in `g.edges` order, so
-    every cut is the same float sum `cut_weight` makes.  The tree's
-    structure must already be valid.
+def leaf_chains(t: EncodingTree) -> tuple[list[tuple[NodePath, TreeNode]],
+                                          dict[int, tuple[int, ...]]]:
+    """Every (path, node) in preorder, and each vertex's chain of indices
+    into that list, from the root to its leaf.  The tree's structure must
+    already be valid.
     """
     nodes: list[tuple[NodePath, TreeNode]] = []
     chains: dict[int, tuple[int, ...]] = {}  # vertex -> node indices, root first
@@ -200,17 +197,34 @@ def _node_stats(g: Graph, t: EncodingTree) -> list[tuple[NodePath, TreeNode, flo
             chains[node.vertex] = chain
         for i in range(len(node.children) - 1, -1, -1):
             stack.append((path + (i,), node.children[i], chain))
-    crossing: list[list[float]] = [[] for _ in nodes]
-    for u, v, w in g.edges:
+    return nodes, chains
+
+
+def add_crossing(cuts: list[float], chains, edges) -> None:
+    """Add each edge's weight to `cuts[i]` for every node i strictly below
+    the branch point of its endpoints' leaf chains, in edge order."""
+    for u, v, w in edges:
         cu, cv = chains[u], chains[v]
         branch = 1
         while cu[branch] == cv[branch]:
             branch += 1
         for i in cu[branch:] + cv[branch:]:
-            crossing[i].append(w)
+            cuts[i] += w
+
+
+def _node_stats(g: Graph, t: EncodingTree) -> list[tuple[NodePath, TreeNode, float, float]]:
+    """(path, node, vol, cut) of every node in preorder, from one edge pass.
+
+    Each cut folds its edges' weights in `g.edges` order, so it is the same
+    float sum `cut_weight` makes.  The tree's structure must already be
+    valid.
+    """
+    nodes, chains = leaf_chains(t)
+    cuts = [0.0] * len(nodes)
+    add_crossing(cuts, chains, g.edges)
     deg = g.degree
-    return [(path, node, sum(deg[v] for v in node.vertices), sum(ws, 0.0))
-            for (path, node), ws in zip(nodes, crossing)]
+    return [(path, node, left_sum(deg[v] for v in node.vertices), cut)
+            for (path, node), cut in zip(nodes, cuts)]
 
 
 def refresh_stats(g: Graph, t: EncodingTree) -> None:

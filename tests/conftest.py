@@ -23,6 +23,11 @@ def k4():
 
 
 @pytest.fixture
+def cycle4():
+    return st.Graph.from_index_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+
+
+@pytest.fixture
 def barbell():
     return st.Graph.from_index_edges(
         6,

@@ -7,6 +7,8 @@ import pytest
 import structen as st
 from structen import GraphParseError, InvariantViolation, SizeGuardExceeded
 
+from structen.graph import left_sum
+
 from conftest import complete_graph, random_connected_graph
 
 
@@ -159,6 +161,16 @@ class TestEntropy:
             st.shannon_entropy([0.5, 0.6])
         with pytest.raises(InvariantViolation):
             st.shannon_entropy([-0.1, 1.1])
+
+    def test_shannon_rejects_non_finite_entries(self):
+        for x in (10 ** 400, math.inf, math.nan):
+            with pytest.raises(InvariantViolation, match="non-finite"):
+                st.shannon_entropy([x, 0])
+
+    def test_left_sum_folds_left_to_right(self):
+        # a compensated sum (builtin sum from CPython 3.12) gives 2.0 here
+        assert left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+        assert left_sum([0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3
 
     def test_one_dim_examples(self, k4, p3, barbell):
         assert st.one_dim_entropy(k4) == pytest.approx(2.0)

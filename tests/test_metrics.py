@@ -138,6 +138,10 @@ class TestDistributionEntropy:
         with pytest.raises(InvariantViolation, match="items tree"):
             st.distribution_entropy((0.5, 0.5), items_tree([[0, 1], 2]))
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            st.distribution_entropy((10 ** 400, 0), items_tree([0, 1]))
+
 
 class TestCompressingInfo:
     def test_barbell_two_part(self, barbell):

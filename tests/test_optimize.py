@@ -50,6 +50,11 @@ class TestMergeDelta:
         with pytest.raises(InvariantViolation, match="sibling"):
             st.merge_delta(barbell, t, (0,), (1, 0))
 
+    def test_negative_index_is_no_node(self, cycle4):
+        # (-1,) must not name the last child, or (3,) would be named twice
+        with pytest.raises(InvariantViolation, match="no node at path -1"):
+            st.merge_delta(cycle4, st.star_tree(cycle4), (-1,), (3,))
+
 
 class TestCombineApply:
     def test_star_combine(self, k4):
@@ -79,6 +84,10 @@ class TestCombineApply:
         t1 = st.combine_apply(k4, st.star_tree(k4), (0,), (1,))
         with pytest.raises(InvariantViolation, match="sibling"):
             st.combine_apply(k4, t1, (0, 0), (1,))
+
+    def test_negative_index_is_no_node(self, cycle4):
+        with pytest.raises(InvariantViolation, match="no node at path -1"):
+            st.combine_apply(cycle4, st.star_tree(cycle4), (-1,), (3,))
 
     def test_unordered_parent_comes_back_ordered(self, k4):
         t = st.build_tree(k4, [[2, 3], 0, 1])
@@ -224,6 +233,11 @@ class TestTraceContract:
         for step in bad_steps:
             with pytest.raises(InvariantViolation):
                 st.replay_trace(barbell, [step])
+
+    def test_replay_rejects_a_negative_index(self, barbell):
+        step = st.TraceStep("merge", (-1,), (4,), 0.1)
+        with pytest.raises(InvariantViolation, match="no node at path -1"):
+            st.replay_trace(barbell, [step])
 
     def test_parse_trace_round_trip(self):
         rng = random.Random(30)
