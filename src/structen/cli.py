@@ -8,6 +8,7 @@ All output is deterministic; real numbers print with 9 decimal places.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,8 +38,7 @@ def _read_json(path):
 
 def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _module_lines(g: Graph, tree) -> list[str]:
@@ -132,11 +132,14 @@ def _space_from_doc(doc) -> DataSpace:
         raise GraphParseError("space document: each edge must be a [u, v, weight] list")
     if not all(_is_number(w) for _, _, w in edges):
         raise GraphParseError("space document: edge weights must be numbers")
+    source = doc.get("abstraction_source", "syntax")
+    if not isinstance(source, str):
+        raise GraphParseError("space document: 'abstraction_source' must be a string")
     g = Graph(doc["vertices"], edges)
     decoder = deserialize(g, doc["decoder"])
     catalog = FeatureCatalog.from_dict(doc["catalog"])
     return DataSpace.from_decoder(g, decoder, catalog, doc["construction_k"], doc["height"], (),
-                                  str(doc.get("abstraction_source", "syntax")))
+                                  source)
 
 
 def cmd_insert(args) -> int:
@@ -192,6 +195,7 @@ def cmd_knowledge(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="structen",

@@ -94,6 +94,65 @@ class Graph:
         if abs(self.volume - twice_weight) > VOLUME_REL_TOL * self.volume:
             raise InvariantViolation("volume bookkeeping out of tolerance")
 
+    def with_vertex(self, vid, edges: Iterable[tuple[str, float]]) -> "Graph":
+        """This graph plus vertex `vid`, joined by a `(neighbour id, weight)`
+        edge to each listed neighbour; `self` is left as it is.
+
+        The result equals `Graph(vertex_ids + (vid,), old edges + [(nbr,
+        vid, w), ...])` bit for bit, with the same checks and messages, but
+        only the new edges are checked: every degree, the volume and the
+        total weight are the left folds that rebuild makes, and the graph
+        stays connected as long as one new edge exists.
+        """
+        vid = str(vid)
+        if vid in self.index:
+            raise InvariantViolation("duplicate vertex identifier")
+        x = self.n
+        index = {**self.index, vid: x}
+        adj = list(self.adj)
+        adj_x: dict[int, float] = {}
+        new_edges = []
+        for u_id, w in edges:
+            u_id = str(u_id)
+            if u_id not in index:
+                raise InvariantViolation(f"edge endpoint {u_id!r} is not a vertex")
+            u = index[u_id]
+            try:
+                w = float(w)
+            except OverflowError:  # an integer beyond the float range
+                w = math.inf
+            if u == x:
+                raise InvariantViolation(f"self-loop at vertex {u_id!r}")
+            if not w > 0:
+                raise InvariantViolation(f"non-positive weight on edge {u_id!r}-{vid!r}")
+            if w == math.inf:
+                raise InvariantViolation(f"non-finite weight on edge {u_id!r}-{vid!r}")
+            if u in adj_x:
+                raise InvariantViolation(f"duplicate edge {u_id!r}-{vid!r}")
+            adj[u] = {**adj[u], x: w}
+            adj_x[u] = w
+            new_edges.append((u, x, w))
+        degree = list(self.degree)
+        for u, _, w in new_edges:  # x is each old vertex's last neighbour
+            degree[u] += w
+        degree.append(left_sum(adj_x.values()))
+
+        out = Graph.__new__(Graph)
+        out.vertex_ids = self.vertex_ids + (vid,)
+        out.index = index
+        out.adj = (*adj, adj_x)
+        out.edges = self.edges + tuple(new_edges)
+        out.degree = tuple(degree)
+        out.volume = left_sum(out.degree)
+        if out.volume == math.inf:
+            raise InvariantViolation("graph volume overflows to inf")
+        if not new_edges:
+            raise InvariantViolation("graph is disconnected")
+        twice_weight = 2.0 * left_sum(w for _, _, w in out.edges)
+        if abs(out.volume - twice_weight) > VOLUME_REL_TOL * out.volume:
+            raise InvariantViolation("volume bookkeeping out of tolerance")
+        return out
+
     @classmethod
     def from_index_edges(cls, n: int, edges: Iterable[tuple[int, int, float]],
                          ids: Sequence[str] | None = None) -> "Graph":
@@ -224,24 +283,25 @@ def conductance_exact(g: Graph, max_n: int = 24) -> tuple[float, VertexSet]:
 
 def check_distribution(p: Sequence[float]) -> tuple[float, ...]:
     try:
-        p = tuple(float(x) for x in p)
+        p = tuple(map(float, p))
     except OverflowError:  # an integer beyond the float range
         raise InvariantViolation("distribution has a non-finite entry") from None
     if not p:
         raise InvariantViolation("empty distribution")
     if not all(map(math.isfinite, p)):
         raise InvariantViolation("distribution has a non-finite entry")
-    if any(x < 0 for x in p):
+    if min(p) < 0:
         raise InvariantViolation("distribution has a negative entry")
-    if abs(sum(p) - 1.0) > _DISTRIBUTION_TOL:
-        raise InvariantViolation(f"distribution sums to {sum(p)!r}, not 1")
+    total = sum(p)
+    if abs(total - 1.0) > _DISTRIBUTION_TOL:
+        raise InvariantViolation(f"distribution sums to {total!r}, not 1")
     return p
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
     """-sum p_i log2 p_i with 0 log 0 = 0."""
-    p = check_distribution(p)
-    return -sum(x * math.log2(x) for x in p if x > 0)
+    log2 = math.log2
+    return -sum([x * log2(x) for x in check_distribution(p) if x > 0])
 
 
 def one_dim_entropy(g: Graph) -> float:

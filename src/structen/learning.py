@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -19,10 +20,10 @@ import numpy as np
 from .errors import GraphParseError, InvariantViolation
 from .graph import (VOLUME_REL_TOL, Graph, left_sum, one_dim_entropy, positive_pairs,
                     shannon_entropy, smallest_connected)
-from .metrics import cached_entropy, structural_entropy
+from .metrics import cached_entropy, node_terms, structural_entropy, term_sum
 from .optimize import minimize_kd
 from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_chains,
-                   refresh_stats, validate_structure, walk)
+                   validate_structure, walk)
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,25 @@ def knowledge_tree(g: Graph, t: EncodingTree, catalog: FeatureCatalog,
 def abstraction_tree(kt: KnowledgeTree) -> AbstractionTree:
     """Contract equal-feature parent-child edges; feature sets grow strictly."""
 
-    def contract(node: FeatureNode, children) -> FeatureNode:
-        merged: list[FeatureNode] = []
-        for child in children:
+    # Each result is (node, its smallest vertex, its children's smallest
+    # vertices), so every marker's minimum is taken once, over its children.
+    def contract(node: FeatureNode, children) -> tuple[FeatureNode, int, list[int]]:
+        kids: list[FeatureNode] = []
+        lows: list[int] = []
+        for child, low, child_lows in children:
             if child.features == node.features:
-                merged.extend(child.children)  # absorb; grandchildren are strict already
+                kids += child.children  # absorb; grandchildren are strict already
+                lows += child_lows
             else:
-                merged.append(child)
-        merged.sort(key=lambda c: min(c.vertices))
-        return FeatureNode(node.features, node.vertices, node.decoder_path, merged)
+                kids.append(child)
+                lows.append(low)
+        if lows != sorted(lows):
+            order = sorted(range(len(lows)), key=lows.__getitem__)
+            kids, lows = [kids[i] for i in order], [lows[i] for i in order]
+        low = min([r[1] for r in children]) if children else min(node.vertices)
+        return FeatureNode(node.features, node.vertices, node.decoder_path, kids), low, lows
 
-    return AbstractionTree(fold(kt.root, contract))
+    return AbstractionTree(fold(kt.root, contract)[0])
 
 
 def check_strict_growth(at: AbstractionTree) -> str | None:
@@ -219,12 +228,11 @@ def _vertex_index(g: Graph, vid) -> int:
 
 @dataclass(frozen=True)
 class DataSpace:
-    """Graph, decoder and derived feature trees of one learned space."""
+    """Graph, decoder and catalog of one learned space; its feature trees
+    are derived on first read."""
 
     graph: Graph
     decoder: EncodingTree
-    knowledge: KnowledgeTree
-    abstractions: AbstractionTree
     catalog: FeatureCatalog
     construction_k: int
     height: int
@@ -235,11 +243,21 @@ class DataSpace:
     def from_decoder(cls, g: Graph, decoder: EncodingTree, catalog: FeatureCatalog,
                      construction_k: int, height: int, sweep=(),
                      abstraction_source: str = "syntax") -> "DataSpace":
-        """Space over a given graph and decoder; the feature trees are derived."""
-        kt = knowledge_tree(g, decoder, catalog, source="all")
-        at = abstraction_tree(knowledge_tree(g, decoder, catalog, source=abstraction_source))
-        return cls(g, decoder, kt, at, catalog, construction_k, height,
-                   tuple(sweep), abstraction_source)
+        """Space over a given graph and decoder.  A catalog that misses a
+        vertex, or an unknown abstraction source, is rejected here."""
+        catalog.require_cover(g)
+        FeatureSet().pick(abstraction_source)
+        return cls(g, decoder, catalog, construction_k, height, tuple(sweep),
+                   abstraction_source)
+
+    @cached_property
+    def knowledge(self) -> KnowledgeTree:
+        return knowledge_tree(self.graph, self.decoder, self.catalog, source="all")
+
+    @cached_property
+    def abstractions(self) -> AbstractionTree:
+        return abstraction_tree(knowledge_tree(self.graph, self.decoder, self.catalog,
+                                               source=self.abstraction_source))
 
 
 def build_data_space(sim, catalog: FeatureCatalog, height: int = 2,
@@ -323,16 +341,20 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     target = choose_abstraction(ds, features.pick(ds.abstraction_source))
     h_before = structural_entropy(g, ds.decoder)
     x = g.n
+    base = _marker_cuts(g, ds.decoder)
     placements = [_apply_position(ds.decoder, path, x)
                   for path in _slots(ds.decoder, target.decoder_path, ds.height)]
-    best_k = _best_count(g, placements[0], weights, point_id)
-    new_graph = Graph(g.vertex_ids + (point_id,),
-                      [(g.vertex_ids[u], g.vertex_ids[v], w) for u, v, w in g.edges]
-                      + [(g.vertex_ids[v], point_id, w) for w, v in weights[:best_k]])
+    placed = [_placed_cuts(tree, base, x) for tree in placements]
+    best_k = _best_count(g, placements[0], placed[0], weights, point_id)
+    new_graph = g.with_vertex(point_id, [(g.vertex_ids[v], w) for w, v in weights[:best_k]])
+    new_edges = new_graph.edges[len(g.edges):]
+    degree_of = new_graph.degree.__getitem__
     new_tree, best_h = None, math.inf
-    for tree in placements:  # home first
-        refresh_stats(new_graph, tree)
-        h = structural_entropy(new_graph, tree, check=False)
+    for tree, (nodes, chains, cuts) in zip(placements, placed):  # home first
+        add_crossing(cuts, chains, new_edges)
+        for (_, node), cut in zip(nodes, cuts):
+            node.vol, node.cut = left_sum(map(degree_of, node.vertices)), cut
+        h = cached_entropy(tree, new_graph.volume)
         if h < best_h - 1e-12:
             best_h, new_tree = h, tree
     h_after = structural_entropy(new_graph, new_tree)
@@ -351,28 +373,66 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     return out, report
 
 
-def _best_count(g: Graph, home: EncodingTree, weights, point_id: str) -> int:
+def _marker_cuts(g: Graph, t: EncodingTree) -> dict:
+    """Every marker of t, a valid tree over g, mapped to its cut, from one
+    pass over g's edges; the empty marker maps to 0.0."""
+    nodes, chains = leaf_chains(t)
+    cuts = [0.0] * len(nodes)
+    add_crossing(cuts, chains, g.edges)
+    base = {node.vertices: cut for (_, node), cut in zip(nodes, cuts)}
+    base[frozenset()] = 0.0
+    return base
+
+
+def _placed_cuts(t: EncodingTree, base, x: int):
+    """Preorder nodes and leaf chains of a placement of a new vertex x,
+    after its structure check, and each node's cut over the old edges.
+
+    A node crosses the same old edges as its marker without x, so its cut
+    is read from `_marker_cuts` of the tree x was placed in; x's own leaf
+    crosses none.
+    """
+    msg = validate_structure(t, x + 1)
+    if msg:
+        raise InvariantViolation(f"invalid encoding tree: {msg}")
+    nodes, chains = leaf_chains(t)
+    return nodes, chains, [base[node.vertices - {x}] for _, node in nodes]
+
+
+def _best_count(g: Graph, home: EncodingTree, placed, weights, point_id: str) -> int:
     """Attachment count k with the most decodable information, H1 - H(home),
     on g plus the edges from x = g.n to the first k (w, v) of `weights`;
     ties keep the smaller k.
 
-    One pass over g's edges, then O(n + nodes) per count.  A count's graph
-    lists its new edges after every old one, both in its edges and in each
-    adjacency list, and every degree, volume, vol and cut is a left fold, so
-    each value here is bit for bit what `Graph` and `refresh_stats` compute
-    on that graph.  The checks `Graph` can fail on it are made at that
-    count, in its order and with its messages.  Writes stats into `home`.
+    Starts from home's `_placed_cuts`, which it leaves as they are; then
+    each count costs O(n + nodes).  H's terms are kept in flat lists, in the
+    order `metrics.cached_entropy` sums them, and a count recomputes only
+    the terms of the nodes on the two changed leaf chains and of their
+    children.  A count's graph lists its new edges after every old one,
+    both in its edges and in each adjacency list, and every degree, volume,
+    vol and cut is a left fold, so each value here is bit for bit what
+    `Graph` and `refresh_stats` compute on that graph.  The checks `Graph`
+    can fail on it are made at that count, in its order and with its
+    messages.
     """
     x = g.n
-    msg = validate_structure(home, x + 1)
-    if msg:
-        raise InvariantViolation(f"invalid encoding tree: {msg}")
-    nodes, chains = leaf_chains(home)
-    cuts = [0.0] * len(nodes)
-    add_crossing(cuts, chains, g.edges)
+    nodes, chains, cuts = placed
+    cuts = list(cuts)
     deg = [*g.degree, 0.0]
-    for (_, node), cut in zip(nodes, cuts):
-        node.vol, node.cut = left_sum(deg[v] for v in node.vertices), cut
+    degree_of = deg.__getitem__
+    markers = [node.vertices for _, node in nodes]
+    vols = [left_sum(map(degree_of, marker)) for marker in markers]
+    at = {id(node): i for i, (_, node) in enumerate(nodes)}
+    terms = [(at[id(c)], at[id(p)]) for c, p in node_terms(home)]
+    term_of = [None] * len(nodes)  # node -> position of its term; the root has none
+    parent = [None] * len(nodes)
+    kids: list[list[int]] = [[] for _ in nodes]
+    for pos, (i, p) in enumerate(terms):
+        term_of[i], parent[i] = pos, p
+        kids[p].append(i)
+    term_cuts = [cuts[i] for i, _ in terms]
+    # x's leaf has vol 0 until the first count, which sets its log
+    logs = [math.log2(vols[i] / vols[p]) if vols[i] else 0.0 for i, p in terms]
     total = left_sum(w for _, _, w in g.edges)
     attached = set()
     best_d = -math.inf
@@ -389,11 +449,17 @@ def _best_count(g: Graph, home: EncodingTree, weights, point_id: str) -> int:
         if abs(volume - 2.0 * total) > VOLUME_REL_TOL * volume:
             raise InvariantViolation("volume bookkeeping out of tolerance")
         add_crossing(cuts, chains, ((v, x, w),))
-        for i in {*chains[v], *chains[x]}:
-            node = nodes[i][1]
-            node.vol, node.cut = left_sum(deg[u] for u in node.vertices), cuts[i]
-        h = cached_entropy(home, volume)
-        d = shannon_entropy(tuple(dv / volume for dv in deg)) - h
+        changed = {*chains[v], *chains[x]}
+        for i in changed:
+            vols[i] = left_sum(map(degree_of, markers[i]))
+        for i in changed:  # a changed vol moves its own term's log and its children's
+            for j in (i, *kids[i]):
+                if term_of[j] is not None:
+                    logs[term_of[j]] = math.log2(vols[j] / vols[parent[j]])
+            if term_of[i] is not None:
+                term_cuts[term_of[i]] = cuts[i]
+        h = term_sum(zip(term_cuts, logs), volume)
+        d = shannon_entropy([dv / volume for dv in deg]) - h
         if d > best_d:
             best_d, best_k = d, k
     return best_k

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvariantViolation
 from .graph import (Graph, VertexSet, check_distribution, conductance_exact,
@@ -57,8 +57,8 @@ class ModuleFunction:
         raise InvariantViolation(f"unknown module function kind {self.kind!r}")
 
 
-def _node_terms(t: EncodingTree):
-    """Yield (node, parent) for every non-root node."""
+def node_terms(t: EncodingTree):
+    """Yield (node, parent) for every non-root node, in the order H sums them."""
     stack = [t.root]
     while stack:
         parent = stack.pop()
@@ -68,10 +68,16 @@ def _node_terms(t: EncodingTree):
                 stack.append(child)
 
 
+def term_sum(terms: Iterable[tuple[float, float]], vol: float) -> float:
+    """-sum of w / vol * l over (w, l) terms, in the order given: the one sum
+    behind every tree functional, where l is a node's log2(V_a / V_parent)."""
+    return -sum([w / vol * l for w, l in terms])
+
+
 def _tree_sum(t: EncodingTree, vol: float, weight: Callable[[TreeNode], float]) -> float:
-    # -sum over non-root nodes of weight / vol * log2(V_a / V_parent), for any
-    # marker weighting, from the cached stats.
-    return -sum(weight(c) / vol * math.log2(c.vol / p.vol) for c, p in _node_terms(t))
+    # the tree functional for any marker weighting, from the cached stats
+    log2 = math.log2
+    return term_sum([(weight(c), log2(c.vol / p.vol)) for c, p in node_terms(t)], vol)
 
 
 def cached_entropy(t: EncodingTree, vol: float) -> float:
@@ -125,7 +131,7 @@ def distribution_entropy(p: Sequence[float], t: EncodingTree) -> float:
 
     total = fold(t.root, mass)
     acc = 0.0
-    for child, parent in _node_terms(t):
+    for child, parent in node_terms(t):
         mc, mp = masses[id(child)], masses[id(parent)]
         if mc > 0:
             acc -= mc / total * math.log2(mc / mp)

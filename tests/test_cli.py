@@ -297,6 +297,19 @@ class TestInsertCommand:
                            "--point", point)
         assert code == 2 and "already present" in err
 
+    def test_catalog_missing_a_vertex_exit_2(self, files, capsys):
+        run(capsys, "build", "--similarity", files / "blocks.csv",
+            "--height", 2, "--features", files / "blockfeat.json",
+            "--space-out", files / "space.json")
+        space = files / "space.json"
+        doc = json.loads(space.read_text(encoding="utf-8"))
+        del doc["catalog"]["s3"]
+        space.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "insert", "--space", space,
+                             "--point", files / "point.json")
+        assert (code, out) == (2, "")
+        assert "missing catalog entry for vertex 's3'" in err
+
 
 BAD_INSERT_INPUTS = [
     # (document, key path, new value, exit code, stderr fragment)
@@ -314,10 +327,13 @@ BAD_INSERT_INPUTS = [
       for value in ("0.5", None)],
     *[("point", (key,), value, 1, f"{key!r} must be a list of tokens")
       for key in ("syntax", "semantics") for value in (5, "abc")],
+    *[("space", ("abstraction_source",), value, 1, "'abstraction_source' must be a string")
+      for value in (["syntax"], None, 5)],
     # numbers of the right type but out of range stay invariant violations
     ("space", ("height",), 1, 2, "taller than the height cap"),
     ("space", ("edges", 0), ["s0", "s1", -1.0], 2, "non-positive weight"),
     ("point", ("sims", "s0"), -0.5, 2, "negative or non-finite similarity"),
+    ("space", ("abstraction_source",), "tags", 2, "unknown feature source 'tags'"),
     # JSON integers too large for a float
     ("space", ("edges", 0), ["s0", "s1", 10 ** 400], 2, "non-finite weight"),
     ("point", ("sims", "s0"), 10 ** 400, 2, "negative or non-finite similarity"),

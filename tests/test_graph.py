@@ -188,6 +188,61 @@ class TestEntropy:
             assert st.one_dim_entropy(g) == st.shannon_entropy(p)
 
 
+def _graph_state(g):
+    """Everything a Graph holds, with the key order of each adjacency dict."""
+    return (g.vertex_ids, list(g.index.items()), g.edges,
+            [list(nbrs.items()) for nbrs in g.adj], g.degree, g.volume)
+
+
+def _rebuilt(g, vid, edges):
+    old = [(g.vertex_ids[u], g.vertex_ids[v], w) for u, v, w in g.edges]
+    return st.Graph(g.vertex_ids + (vid,), old + [(u, vid, w) for u, w in edges])
+
+
+BAD_NEW_VERTEX = [
+    # (vertex id, new edges)
+    ("1", [("0", 1.0)]),                # an existing id
+    ("x", [("0", 0.0)]),
+    ("x", [("0", -1.0)]),
+    ("x", [("0", math.inf)]),
+    ("x", [("0", math.nan)]),
+    ("x", [("0", 10 ** 400)]),          # an integer beyond the float range
+    ("x", [("0", 1.0), ("0", 2.0)]),    # a repeated neighbour
+    ("x", [("0", 1.0), ("q", 2.0)]),    # an unknown neighbour
+    ("x", [("x", 1.0)]),                # the new vertex itself
+    ("x", []),
+]
+
+
+class TestWithVertex:
+    def test_matches_a_rebuild_bit_for_bit(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            base = random_connected_graph(rng, 2, 12)
+            g = st.Graph.from_index_edges(
+                base.n, [(u, v, rng.uniform(0.01, 3.0)) for u, v, _ in base.edges])
+            for vid in ("x", "y"):  # the second extends an extended graph
+                edges = [(u, rng.uniform(0.01, 3.0))
+                         for u in rng.sample(g.vertex_ids, rng.randint(1, g.n))]
+                before = _graph_state(g)
+                grown = g.with_vertex(vid, edges)
+                assert _graph_state(grown) == _graph_state(_rebuilt(g, vid, edges))
+                assert _graph_state(g) == before
+                g = grown
+
+    @pytest.mark.parametrize("vid, edges", BAD_NEW_VERTEX,
+                             ids=[f"{v}:{e!r:.40}" for v, e in BAD_NEW_VERTEX])
+    def test_bad_input_fails_as_a_rebuild_does(self, triangle, vid, edges):
+        with pytest.raises(InvariantViolation) as rebuilt:
+            _rebuilt(triangle, vid, edges)
+        before = _graph_state(triangle)
+        with pytest.raises(InvariantViolation) as extended:
+            triangle.with_vertex(vid, edges)
+        assert type(extended.value) is type(rebuilt.value)
+        assert str(extended.value) == str(rebuilt.value)
+        assert _graph_state(triangle) == before
+
+
 EXAMPLE_SIM = np.array([
     [0, 9, 1, 1],
     [9, 0, 5, 1],

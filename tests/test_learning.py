@@ -6,10 +6,10 @@ import pytest
 
 import structen as st
 from structen import FeatureCatalog, FeatureSet, InvariantViolation
-from structen.learning import check_strict_growth
+from structen.learning import AbstractionTree, FeatureNode, check_strict_growth
 
 from conftest import (assert_children_ordered, partition_ids, planted_similarity,
-                      random_connected_graph)
+                      random_connected_graph, random_encoding_tree)
 
 
 def catalog_of(entries):
@@ -129,6 +129,59 @@ class TestAbstractionTree:
                 for vid in g.vertex_ids})
             at = st.abstraction_tree(st.knowledge_tree(g, decoder, catalog))
             assert check_strict_growth(at) is None
+
+
+    def test_matches_the_min_vertex_sort(self):
+        # reference: every node re-sorts its merged children by min(c.vertices)
+        def reference(node):
+            merged = []
+            for child in map(reference, node.children):
+                merged += child.children if child.features == node.features else [child]
+            merged.sort(key=lambda c: min(c.vertices))
+            return FeatureNode(node.features, node.vertices, node.decoder_path, merged)
+
+        rng = random.Random(32)
+        tokens = ["t0", "t1", "t2"]
+        for _ in range(200):
+            g = random_connected_graph(rng, 4, 12)
+            # random trees list children in any order, greedy ones by min vertex
+            decoder = (random_encoding_tree(g, rng) if rng.random() < 0.5
+                       else st.minimize_kd(g, rng.choice([2, 3])).tree)
+            catalog = FeatureCatalog({
+                vid: FeatureSet(frozenset(rng.sample(tokens, rng.randint(0, 3))))
+                for vid in g.vertex_ids})
+            kt = st.knowledge_tree(g, decoder, catalog)
+            assert st.abstraction_tree(kt).root == AbstractionTree(reference(kt.root)).root
+
+
+class TestDataSpaceFeatureTrees:
+    def test_from_decoder_checks_catalog_and_source(self, worked_example):
+        g, tree, catalog = worked_example
+        partial = catalog_of({"0": ({"a"}, set()), "1": ({"a"}, set())})
+        with pytest.raises(InvariantViolation, match="missing catalog entry for vertex '2'"):
+            st.DataSpace.from_decoder(g, tree, partial, construction_k=3, height=2)
+        with pytest.raises(InvariantViolation, match="unknown feature source 'tags'"):
+            st.DataSpace.from_decoder(g, tree, catalog, construction_k=3, height=2,
+                                      abstraction_source="tags")
+
+    @pytest.mark.parametrize("source", ["all", "syntax", "semantics"])
+    def test_trees_equal_direct_builds_and_are_built_once(self, source):
+        rng = random.Random(33)
+        tokens = ["t0", "t1", "t2", "t3"]
+        for _ in range(20):
+            g = random_connected_graph(rng, 4, 10)
+            decoder = st.minimize_kd(g, rng.choice([2, 3])).tree
+            catalog = FeatureCatalog({
+                vid: FeatureSet(frozenset(rng.sample(tokens, rng.randint(0, 3))),
+                                frozenset(rng.sample(tokens, rng.randint(0, 3))))
+                for vid in g.vertex_ids})
+            ds = st.DataSpace.from_decoder(g, decoder, catalog, construction_k=len(g.edges),
+                                           height=3, abstraction_source=source)
+            kt = st.knowledge_tree(g, decoder, catalog, source="all")
+            at = st.abstraction_tree(st.knowledge_tree(g, decoder, catalog, source=source))
+            assert ds.knowledge.root == kt.root
+            assert ds.abstractions.root == at.root
+            assert ds.knowledge is ds.knowledge and ds.abstractions is ds.abstractions
 
 
 class TestFlows:
