@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
@@ -21,7 +20,7 @@ from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
 # dense vertex indices; frozenset keeps subsets hashable and immutable
 VertexSet = frozenset
 
-VOLUME_REL_TOL = 1e-12
+_VOLUME_REL_TOL = 1e-12
 _DISTRIBUTION_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
 
@@ -35,16 +34,64 @@ def left_sum(values: Iterable[float], start: float = 0.0) -> float:
     return reduce(add, values, start)
 
 
+def _checked_edge(index: dict[str, int], u_id, v_id, w) -> tuple[int, int, float]:
+    """One edge as `(u index, v index, float weight)`, after the checks
+    every edge must pass: both endpoints are vertices, no self-loop, and a
+    positive finite weight."""
+    u_id, v_id = str(u_id), str(v_id)
+    if u_id not in index or v_id not in index:
+        missing = u_id if u_id not in index else v_id
+        raise InvariantViolation(f"edge endpoint {missing!r} is not a vertex")
+    try:
+        w = float(w)
+    except OverflowError:  # an integer beyond the float range
+        w = math.inf
+    if u_id == v_id:
+        raise InvariantViolation(f"self-loop at vertex {u_id!r}")
+    if not w > 0:
+        raise InvariantViolation(f"non-positive weight on edge {u_id!r}-{v_id!r}")
+    if w == math.inf:
+        raise InvariantViolation(f"non-finite weight on edge {u_id!r}-{v_id!r}")
+    return index[u_id], index[v_id], w
+
+
+def _checked_volume(degree: Sequence[float], edges, connected: bool) -> float:
+    """Volume of a graph with these degrees and edges, after the checks on
+    its totals: a finite volume, connectivity, and a volume equal to twice
+    the total weight up to rounding."""
+    volume = left_sum(degree)
+    if volume == math.inf:
+        raise InvariantViolation("graph volume overflows to inf")
+    if not connected:
+        raise InvariantViolation("graph is disconnected")
+    twice_weight = 2.0 * left_sum(w for _, _, w in edges)
+    if abs(volume - twice_weight) > _VOLUME_REL_TOL * volume:
+        raise InvariantViolation("volume bookkeeping out of tolerance")
+    return volume
+
+
+def _connected(adj: Sequence[dict[int, float]]) -> bool:
+    seen = {0}
+    queue = [0]
+    for u in queue:  # breadth first: the loop reads what it appends
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(adj)
+
+
 class Graph:
     """Immutable weighted undirected connected graph.
 
-    `degree[v]` is the weighted degree of vertex v and `volume` is the sum
-    of all degrees (2m for unit weights).  Construction validates every
-    invariant: no self-loops, no duplicate edges, positive finite weights, at
-    least one edge, and a single connected component.
+    `edges` lists `(u, v, w)` with u < v in input order, `degree[v]` is the
+    weighted degree of vertex v and `volume` is the sum of all degrees (2m
+    for unit weights).  Construction validates every invariant: no
+    self-loops, no duplicate edges, positive finite weights, at least one
+    edge, and a single connected component.
     """
 
-    __slots__ = ("vertex_ids", "index", "edges", "adj", "degree", "volume")
+    __slots__ = ("vertex_ids", "index", "edges", "degree", "volume")
 
     def __init__(self, vertex_ids: Sequence[str], edges: Iterable[tuple[str, str, float]]):
         ids = tuple(str(v) for v in vertex_ids)
@@ -58,41 +105,18 @@ class Graph:
         adj: list[dict[int, float]] = [dict() for _ in ids]
         edge_list: list[tuple[int, int, float]] = []
         for u_id, v_id, w in edges:
-            u_id, v_id = str(u_id), str(v_id)
-            if u_id not in self.index or v_id not in self.index:
-                missing = u_id if u_id not in self.index else v_id
-                raise InvariantViolation(f"edge endpoint {missing!r} is not a vertex")
-            u, v = self.index[u_id], self.index[v_id]
-            try:
-                w = float(w)
-            except OverflowError:  # an integer beyond the float range
-                w = math.inf
-            if u == v:
-                raise InvariantViolation(f"self-loop at vertex {u_id!r}")
-            if not w > 0:
-                raise InvariantViolation(f"non-positive weight on edge {u_id!r}-{v_id!r}")
-            if w == math.inf:
-                raise InvariantViolation(f"non-finite weight on edge {u_id!r}-{v_id!r}")
+            u, v, w = _checked_edge(self.index, u_id, v_id, w)
             if v in adj[u]:
-                raise InvariantViolation(f"duplicate edge {u_id!r}-{v_id!r}")
+                raise InvariantViolation(f"duplicate edge {ids[u]!r}-{ids[v]!r}")
             adj[u][v] = w
             adj[v][u] = w
             edge_list.append((min(u, v), max(u, v), w))
         if not edge_list:
             raise InvariantViolation("a graph needs at least one edge")
 
-        self.adj = tuple(adj)
         self.edges = tuple(edge_list)
         self.degree = tuple(left_sum(nbrs.values()) for nbrs in adj)
-        self.volume = left_sum(self.degree)
-        if self.volume == math.inf:
-            raise InvariantViolation("graph volume overflows to inf")
-
-        if 0.0 in self.degree or not self._connected():
-            raise InvariantViolation("graph is disconnected")
-        twice_weight = 2.0 * left_sum(w for _, _, w in self.edges)
-        if abs(self.volume - twice_weight) > VOLUME_REL_TOL * self.volume:
-            raise InvariantViolation("volume bookkeeping out of tolerance")
+        self.volume = _checked_volume(self.degree, self.edges, connected=_connected(adj))
 
     def with_vertex(self, vid, edges: Iterable[tuple[str, float]]) -> "Graph":
         """This graph plus vertex `vid`, joined by a `(neighbour id, weight)`
@@ -109,48 +133,23 @@ class Graph:
             raise InvariantViolation("duplicate vertex identifier")
         x = self.n
         index = {**self.index, vid: x}
-        adj = list(self.adj)
         adj_x: dict[int, float] = {}
-        new_edges = []
         for u_id, w in edges:
-            u_id = str(u_id)
-            if u_id not in index:
-                raise InvariantViolation(f"edge endpoint {u_id!r} is not a vertex")
-            u = index[u_id]
-            try:
-                w = float(w)
-            except OverflowError:  # an integer beyond the float range
-                w = math.inf
-            if u == x:
-                raise InvariantViolation(f"self-loop at vertex {u_id!r}")
-            if not w > 0:
-                raise InvariantViolation(f"non-positive weight on edge {u_id!r}-{vid!r}")
-            if w == math.inf:
-                raise InvariantViolation(f"non-finite weight on edge {u_id!r}-{vid!r}")
+            u, _, w = _checked_edge(index, u_id, vid, w)
             if u in adj_x:
-                raise InvariantViolation(f"duplicate edge {u_id!r}-{vid!r}")
-            adj[u] = {**adj[u], x: w}
+                raise InvariantViolation(f"duplicate edge {self.vertex_ids[u]!r}-{vid!r}")
             adj_x[u] = w
-            new_edges.append((u, x, w))
         degree = list(self.degree)
-        for u, _, w in new_edges:  # x is each old vertex's last neighbour
+        for u, w in adj_x.items():  # x is each old vertex's last neighbour
             degree[u] += w
         degree.append(left_sum(adj_x.values()))
 
         out = Graph.__new__(Graph)
         out.vertex_ids = self.vertex_ids + (vid,)
         out.index = index
-        out.adj = (*adj, adj_x)
-        out.edges = self.edges + tuple(new_edges)
+        out.edges = self.edges + tuple((u, x, w) for u, w in adj_x.items())
         out.degree = tuple(degree)
-        out.volume = left_sum(out.degree)
-        if out.volume == math.inf:
-            raise InvariantViolation("graph volume overflows to inf")
-        if not new_edges:
-            raise InvariantViolation("graph is disconnected")
-        twice_weight = 2.0 * left_sum(w for _, _, w in out.edges)
-        if abs(out.volume - twice_weight) > VOLUME_REL_TOL * out.volume:
-            raise InvariantViolation("volume bookkeeping out of tolerance")
+        out.volume = _checked_volume(out.degree, out.edges, connected=bool(adj_x))
         return out
 
     @classmethod
@@ -158,25 +157,13 @@ class Graph:
                          ids: Sequence[str] | None = None) -> "Graph":
         """Build from integer-indexed edges; ids default to "0".."n-1"."""
         ids = tuple(ids) if ids is not None else tuple(str(i) for i in range(n))
+        if len(ids) != n:
+            raise InvariantViolation(f"expected {n} vertex ids, got {len(ids)}")
         return cls(ids, [(ids[u], ids[v], w) for u, v, w in edges])
 
     @property
     def n(self) -> int:
         return len(self.vertex_ids)
-
-    def _connected(self) -> bool:
-        seen = [False] * self.n
-        queue = deque([0])
-        seen[0] = True
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
 
 
 def load_graph(path) -> Graph:
@@ -402,9 +389,9 @@ def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
                 values[r, c] = math.nan
             if not math.isfinite(values[r, c]):
                 raise GraphParseError(f"{path}: row {r + 2}: bad number {cell!r}")
-    if np.abs(values - values.T).max() > _SYMMETRY_TOL:
-        raise GraphParseError(f"{path}: similarity matrix is not symmetric")
     np.fill_diagonal(values, 0.0)
-    if values.min() < 0:
-        raise GraphParseError(f"{path}: similarity matrix has a negative entry")
+    try:
+        _check_similarity(values)
+    except InvariantViolation as exc:
+        raise GraphParseError(f"{path}: {exc}") from None
     return ids, values

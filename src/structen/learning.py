@@ -11,6 +11,7 @@ local entropy-driven re-fit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -18,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import GraphParseError, InvariantViolation
-from .graph import (VOLUME_REL_TOL, Graph, left_sum, one_dim_entropy, positive_pairs,
-                    shannon_entropy, smallest_connected)
+from .graph import (Graph, left_sum, one_dim_entropy, positive_pairs, shannon_entropy,
+                    smallest_connected)
 from .metrics import cached_entropy, node_terms, structural_entropy, term_sum
 from .optimize import minimize_kd
 from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_chains,
@@ -345,8 +346,10 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     placements = [_apply_position(ds.decoder, path, x)
                   for path in _slots(ds.decoder, target.decoder_path, ds.height)]
     placed = [_placed_cuts(tree, base, x) for tree in placements]
-    best_k = _best_count(g, placements[0], placed[0], weights, point_id)
-    new_graph = g.with_vertex(point_id, [(g.vertex_ids[v], w) for w, v in weights[:best_k]])
+    attachment = [(g.vertex_ids[v], w) for w, v in weights]
+    g.with_vertex(point_id, attachment)  # checks every count: each is a subgraph of this
+    best_k = _best_count(g, placements[0], placed[0], weights)
+    new_graph = g.with_vertex(point_id, attachment[:best_k])
     new_edges = new_graph.edges[len(g.edges):]
     degree_of = new_graph.degree.__getitem__
     new_tree, best_h = None, math.inf
@@ -399,7 +402,7 @@ def _placed_cuts(t: EncodingTree, base, x: int):
     return nodes, chains, [base[node.vertices - {x}] for _, node in nodes]
 
 
-def _best_count(g: Graph, home: EncodingTree, placed, weights, point_id: str) -> int:
+def _best_count(g: Graph, home: EncodingTree, placed, weights) -> int:
     """Attachment count k with the most decodable information, H1 - H(home),
     on g plus the edges from x = g.n to the first k (w, v) of `weights`;
     ties keep the smaller k.
@@ -408,12 +411,10 @@ def _best_count(g: Graph, home: EncodingTree, placed, weights, point_id: str) ->
     each count costs O(n + nodes).  H's terms are kept in flat lists, in the
     order `metrics.cached_entropy` sums them, and a count recomputes only
     the terms of the nodes on the two changed leaf chains and of their
-    children.  A count's graph lists its new edges after every old one,
-    both in its edges and in each adjacency list, and every degree, volume,
-    vol and cut is a left fold, so each value here is bit for bit what
-    `Graph` and `refresh_stats` compute on that graph.  The checks `Graph`
-    can fail on it are made at that count, in its order and with its
-    messages.
+    children.  A count's graph lists its new edges after every old one, and
+    every degree, volume, vol and cut is a left fold, so each value here is
+    bit for bit what `Graph` and `refresh_stats` compute on that graph.  The
+    caller has checked the graph with every edge of `weights`.
     """
     x = g.n
     nodes, chains, cuts = placed
@@ -433,21 +434,11 @@ def _best_count(g: Graph, home: EncodingTree, placed, weights, point_id: str) ->
     term_cuts = [cuts[i] for i, _ in terms]
     # x's leaf has vol 0 until the first count, which sets its log
     logs = [math.log2(vols[i] / vols[p]) if vols[i] else 0.0 for i, p in terms]
-    total = left_sum(w for _, _, w in g.edges)
-    attached = set()
     best_d = -math.inf
     for k, (w, v) in enumerate(weights, start=1):
-        if v in attached:  # two sims keys name one vertex
-            raise InvariantViolation(f"duplicate edge {g.vertex_ids[v]!r}-{point_id!r}")
-        attached.add(v)
         deg[v] = g.degree[v] + w
         deg[x] += w
         volume = left_sum(deg)
-        if volume == math.inf:
-            raise InvariantViolation("graph volume overflows to inf")
-        total += w
-        if abs(volume - 2.0 * total) > VOLUME_REL_TOL * volume:
-            raise InvariantViolation("volume bookkeeping out of tolerance")
         add_crossing(cuts, chains, ((v, x, w),))
         changed = {*chains[v], *chains[x]}
         for i in changed:
@@ -507,8 +498,15 @@ def classify_by_abstraction(abstraction_sets: Sequence[tuple[str, Iterable[str]]
     """Label whose abstraction set has the largest mean sample value.
 
     Tokens absent from the sample count as 0; ties keep the first label in
-    input order.
+    input order.  Every sample value must be a finite real number.
     """
+    for tok, value in sample.items():
+        try:
+            finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise InvariantViolation(f"sample value for {tok!r} is not a finite number")
     best_label = None
     best_mean = -float("inf")
     for label, tokens in abstraction_sets:

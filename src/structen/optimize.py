@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
-from .graph import Graph, one_dim_entropy
+from .graph import Graph, left_sum, one_dim_entropy
 from .metrics import structural_entropy
 from .tree import (EncodingTree, TreeNode, build_tree, format_path,
                    from_partition, parse_path, refresh_stats, star_tree)
@@ -77,11 +77,9 @@ class OptimizeResult:
 
 
 def cross_weight(g: Graph, a, b) -> float:
-    """Total edge weight between two disjoint vertex sets."""
+    """Total edge weight between two disjoint vertex sets, folded in edge order."""
     a, b = frozenset(a), frozenset(b)
-    if len(a) > len(b):
-        a, b = b, a
-    return sum(w for u in a for v, w in g.adj[u].items() if v in b)
+    return left_sum(w for u, v, w in g.edges if u in a and v in b or u in b and v in a)
 
 
 def _flat_merge_delta(vol: float, v_parent: float, va: float, ga: float,

@@ -244,6 +244,12 @@ class TestBuildCommand:
         code, _, err = run(capsys, "build", "--similarity", nan)
         assert code == 1 and "bad number" in err
 
+    def test_negative_entry_exit_1(self, files, capsys):
+        neg = files / "neg.csv"
+        neg.write_text(",a,b,c\na,0,1,-2\nb,1,0,1\nc,-2,1,0\n", encoding="utf-8")
+        code, out, err = run(capsys, "build", "--similarity", neg)
+        assert code == 1 and out == "" and "negative entry" in err
+
 
 class TestInsertCommand:
     def test_block_point(self, files, capsys):

@@ -181,6 +181,13 @@ class TestInsertErrors:
         with pytest.raises(InvariantViolation, match="graph volume overflows to inf"):
             st.insert_point(space, "x", {"1": 1e308, "2": 1.5e308})
 
+    def test_duplicate_edge_precedes_volume_overflow(self, space):
+        # the whole attachment is checked before the sweep, edge by edge
+        # first: the volume overflows at the second count, but the third
+        # repeats vertex '1'
+        with pytest.raises(InvariantViolation, match="duplicate edge '1'-'x'"):
+            st.insert_point(space, "x", {"2": 1.5e308, "1": 1e308, 1: 0.5})
+
 
 if __name__ == "__main__":
     for case in CASES:

@@ -189,9 +189,8 @@ class TestEntropy:
 
 
 def _graph_state(g):
-    """Everything a Graph holds, with the key order of each adjacency dict."""
-    return (g.vertex_ids, list(g.index.items()), g.edges,
-            [list(nbrs.items()) for nbrs in g.adj], g.degree, g.volume)
+    """Everything a Graph holds, with the key order of its index."""
+    return (g.vertex_ids, list(g.index.items()), g.edges, g.degree, g.volume)
 
 
 def _rebuilt(g, vid, edges):
@@ -279,6 +278,17 @@ class TestTopkGraph:
         for u, v, w in g.edges:
             assert w == pytest.approx(sim[u, v], abs=1e-12)
 
+    def test_ids_must_name_every_vertex(self):
+        sim = np.ones((3, 3)) - np.eye(3)
+        for ids in (("a", "b"), ("a", "b", "c", "d")):
+            with pytest.raises(InvariantViolation,
+                               match=f"expected 3 vertex ids, got {len(ids)}"):
+                st.build_topk_graph(sim, 3, ids=ids)
+            with pytest.raises(InvariantViolation,
+                               match=f"expected 3 vertex ids, got {len(ids)}"):
+                st.Graph.from_index_edges(3, [(0, 1, 1.0), (1, 2, 1.0)], ids=ids)
+        assert st.build_topk_graph(sim, 3, ids=("a", "b", "c")).vertex_ids == ("a", "b", "c")
+
     def test_k_out_of_range(self):
         with pytest.raises(InvariantViolation, match="positive pairs"):
             st.build_topk_graph(EXAMPLE_SIM, 7)
@@ -314,6 +324,16 @@ class TestSimilarityCsv:
         path.write_text(",a,b\na,0,2\nb,3,0\n", encoding="utf-8")
         with pytest.raises(GraphParseError, match="symmetric"):
             st.load_similarity_csv(path)
+
+    def test_negative_is_parse_error(self, tmp_path):
+        path = tmp_path / "sim.csv"
+        path.write_text(",a,b,c\na,0,1,-2\nb,1,0,1\nc,-2,1,0\n", encoding="utf-8")
+        with pytest.raises(GraphParseError, match=r"sim\.csv: similarity matrix has a negative entry"):
+            st.load_similarity_csv(path)
+        # a negative diagonal is ignored like any other diagonal entry
+        path.write_text(",a,b\na,-1,2\nb,2,-1\n", encoding="utf-8")
+        _, values = st.load_similarity_csv(path)
+        assert values[0, 0] == values[1, 1] == 0.0
 
     def test_bad_number(self, tmp_path):
         path = tmp_path / "sim.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -331,6 +332,14 @@ class TestBuildDataSpace:
         with pytest.raises(InvariantViolation, match="connect"):
             st.build_data_space(sim, catalog, height=2)
 
+    def test_ids_must_name_every_sample(self):
+        sim = np.ones((3, 3)) - np.eye(3)
+        catalog = FeatureCatalog({v: FeatureSet() for v in "abcd"})
+        for ids in (("a", "b"), ("a", "b", "c", "d")):
+            with pytest.raises(InvariantViolation,
+                               match=f"expected 3 vertex ids, got {len(ids)}"):
+                st.build_data_space(sim, catalog, height=2, ids=ids)
+
     def test_integer_beyond_float_range_rejected(self):
         sim = [[0, 1, 10 ** 400], [1, 0, 1], [10 ** 400, 1, 0]]
         catalog = FeatureCatalog({str(i): FeatureSet() for i in range(3)})
@@ -485,3 +494,17 @@ class TestClassifyByAbstraction:
     def test_empty_set_rejected(self):
         with pytest.raises(InvariantViolation, match="empty abstraction set"):
             st.classify_by_abstraction([("A", ())], {"x": 1.0})
+
+    @pytest.mark.parametrize("sample", [
+        {"x": math.nan, "y": 0.1},           # would let 'b' win silently
+        {"x": math.nan, "y": math.nan},      # would find no label
+        {"x": -math.inf, "y": -math.inf},
+        {"x": math.inf, "y": 0.1},
+        {"x": "high", "y": 0.1},
+        {"x": 10 ** 400, "y": 0.1},          # an integer beyond the float range
+        {"x": None, "y": 0.1},
+    ])
+    def test_non_finite_sample_value_rejected(self, sample):
+        sets = [("a", ("x",)), ("b", ("y",))]
+        with pytest.raises(InvariantViolation, match="sample value for 'x' is not a finite number"):
+            st.classify_by_abstraction(sets, sample)

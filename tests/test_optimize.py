@@ -56,6 +56,25 @@ class TestMergeDelta:
             st.merge_delta(cycle4, st.star_tree(cycle4), (-1,), (3,))
 
 
+class TestCrossWeight:
+    def test_is_the_edge_order_left_fold(self):
+        # the same order cut_weight and the greedy's pair edge lists use
+        rng = random.Random(22)
+        for _ in range(300):
+            base = random_connected_graph(rng, 4, 14, extra=0.5)
+            g = st.Graph.from_index_edges(
+                base.n, [(u, v, rng.uniform(0.01, 3.0)) for u, v, _ in base.edges])
+            for _ in range(10):
+                a = frozenset(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
+                b = frozenset(range(g.n)) - a
+                expected = 0.0
+                for u, v, w in g.edges:
+                    if (u in a) != (v in a):
+                        expected += w
+                assert cross_weight(g, a, b) == expected
+                assert cross_weight(g, b, a) == expected
+
+
 class TestCombineApply:
     def test_star_combine(self, k4):
         t = st.combine_apply(k4, st.star_tree(k4), (0,), (1,))
