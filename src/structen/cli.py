@@ -1,4 +1,4 @@
-"""Command-line surface: entropy reports, exact oracles, space building,
+"""Command-line surface: entropy reports, the exact oracle, space building,
 point insertion, and knowledge/abstraction tree extraction.
 
 Exit codes: 0 ok, 1 parse error, 2 invariant violation, 3 size guard.
@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="with --dim: write the optimizer trace here")
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("oracle", help="exact brute-force optimum (small graphs)")
+    p = sub.add_parser("oracle", help="exact optimum (small graphs)")
     p.add_argument("--graph", required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--out", help="write the argmin tree JSON here")

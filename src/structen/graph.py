@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
@@ -34,18 +35,27 @@ def left_sum(values: Iterable[float], start: float = 0.0) -> float:
     return reduce(add, values, start)
 
 
+def real_weight(w, what: str) -> float:
+    """`w` as a float, inf for an integer beyond the float range; a value
+    that is not a real number, or is a bool, raises InvariantViolation."""
+    # the exact float test first: an isinstance check against an ABC is slow
+    if type(w) is not float and (not isinstance(w, numbers.Real) or isinstance(w, bool)):
+        raise InvariantViolation(f"{what} is not a real number")
+    try:
+        return float(w)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+
+
 def _checked_edge(index: dict[str, int], u_id, v_id, w) -> tuple[int, int, float]:
     """One edge as `(u index, v index, float weight)`, after the checks
     every edge must pass: both endpoints are vertices, no self-loop, and a
-    positive finite weight."""
+    positive finite real weight."""
     u_id, v_id = str(u_id), str(v_id)
     if u_id not in index or v_id not in index:
         missing = u_id if u_id not in index else v_id
         raise InvariantViolation(f"edge endpoint {missing!r} is not a vertex")
-    try:
-        w = float(w)
-    except OverflowError:  # an integer beyond the float range
-        w = math.inf
+    w = real_weight(w, f"weight on edge {u_id!r}-{v_id!r}")
     if u_id == v_id:
         raise InvariantViolation(f"self-loop at vertex {u_id!r}")
     if not w > 0:

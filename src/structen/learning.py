@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import GraphParseError, InvariantViolation
-from .graph import (Graph, left_sum, one_dim_entropy, positive_pairs, shannon_entropy,
-                    smallest_connected)
+from .graph import (Graph, left_sum, one_dim_entropy, positive_pairs, real_weight,
+                    shannon_entropy, smallest_connected)
 from .metrics import cached_entropy, node_terms, structural_entropy, term_sum
 from .optimize import minimize_kd
 from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_chains,
@@ -326,10 +326,7 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     weights = []
     for vid, w in sims.items():
         v = _vertex_index(g, vid)
-        try:
-            w = float(w)
-        except OverflowError:  # an integer beyond the float range
-            w = math.inf
+        w = real_weight(w, f"similarity for {vid!r}")
         if not 0 <= w < math.inf:
             raise InvariantViolation(f"negative or non-finite similarity for {vid!r}")
         if w > 0:

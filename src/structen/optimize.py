@@ -1,4 +1,4 @@
-"""Tree-entropy minimization: greedy merge/combine search plus exact oracles.
+"""Tree-entropy minimization: greedy merge/combine search plus the exact oracle.
 
 The greedy starts from the star tree and runs three phases:
 
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
 from .graph import Graph, left_sum, one_dim_entropy
 from .metrics import structural_entropy
-from .tree import (EncodingTree, TreeNode, build_tree, format_path,
-                   from_partition, parse_path, refresh_stats, star_tree)
+from .tree import (EncodingTree, TreeNode, build_tree, format_path, parse_path,
+                   refresh_stats, star_tree)
 
 DELTA_TOL = 1e-12
 REPLAY_TOL = 1e-9
@@ -521,143 +521,100 @@ def replay_trace(g: Graph, trace) -> EncodingTree:
     return t
 
 
-def _restricted_growth_strings(n: int):
-    """All set partitions of range(n) as block assignments, canonical order."""
-    a = [0] * n
-    b = [0] * n
-    while True:
-        yield a
-        j = n - 1
-        while j > 0 and a[j] == b[j - 1] + 1:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        b[j] = max(b[j - 1], a[j])
-        for i in range(j + 1, n):
-            a[i] = 0
-            b[i] = b[j]
-
-
 def brute_force_2d(g: Graph, max_n: int = 10) -> OptimizeResult:
-    """Exact two-level optimum over all set partitions of the vertex set.
-
-    The single-block partition is excluded (the root may not have one
-    child).  Tie-break: lexicographically smallest canonical partition.
-    """
-    n = g.n
-    if n > max_n:
-        raise SizeGuardExceeded(f"brute_force_2d limited to {max_n} vertices (got {n})")
-    deg = g.degree
-    vol = g.volume
-    lvol = math.log2(vol)
-    dlogd = sum(d * math.log2(d) for d in deg)
-    edges = g.edges
-
-    best_h = math.inf
-    best_key: tuple | None = None
-    for a in _restricted_growth_strings(n):
-        m = max(a) + 1
-        if m == 1:
-            continue
-        vols = [0.0] * m
-        cuts = [0.0] * m
-        for v in range(n):
-            vols[a[v]] += deg[v]
-        for u, v, w in edges:
-            if a[u] != a[v]:
-                cuts[a[u]] += w
-                cuts[a[v]] += w
-        acc = 0.0
-        for i in range(m):
-            lb = math.log2(vols[i])
-            acc += cuts[i] * (lvol - lb) + vols[i] * lb
-        h = (acc - dlogd) / vol
-        if h < best_h:
-            best_h = h
-            best_key = _partition_key(a, m)
-        elif h == best_h:
-            key = _partition_key(a, m)
-            if best_key is None or key < best_key:
-                best_key = key
-    assert best_key is not None
-    tree = from_partition(g, [frozenset(block) for block in best_key])
-    return OptimizeResult(tree, structural_entropy(g, tree), ())
-
-
-def _partition_key(assign, m) -> tuple:
-    blocks: list[list[int]] = [[] for _ in range(m)]
-    for v, b in enumerate(assign):
-        blocks[b].append(v)
-    return tuple(tuple(b) for b in blocks)
-
-
-def _set_partitions(items: tuple, min_blocks: int = 2):
-    """Set partitions of items with at least min_blocks blocks, canonical order."""
-    n = len(items)
-    for a in _restricted_growth_strings(n):
-        m = max(a) + 1
-        if m < min_blocks:
-            continue
-        blocks: list[list] = [[] for _ in range(m)]
-        for pos, b in enumerate(a):
-            blocks[b].append(items[pos])
-        yield [tuple(b) for b in blocks]
-
-
-def _nested_specs(block: tuple, budget: int):
-    """All encoding subtrees over a vertex block within a height budget."""
-    if len(block) == 1:
-        yield block[0]
-        return
-    if budget < 1:
-        return
-    for parts in _set_partitions(block, min_blocks=2):
-        for combo in itertools.product(*(_nested_specs(p, budget - 1) for p in parts)):
-            yield list(combo)
-
-
-def _spec_key(spec):
-    if isinstance(spec, int):
-        return ((spec,), ())
-    members: list[int] = []
-    child_keys = []
-    for child in spec:
-        ckey = _spec_key(child)
-        members.extend(ckey[0])
-        child_keys.append(ckey)
-    return (tuple(sorted(members)), tuple(child_keys))
+    """Exact two-level optimum: `brute_force_kd` at height 2."""
+    return brute_force_kd(g, 2, max_n=max_n)
 
 
 def brute_force_kd(g: Graph, k: int, max_n: int = 6, max_k: int = 3) -> OptimizeResult:
-    """Exact optimum over all encoding trees of height at most k.
+    """Exact optimum over all encoding trees of height at most k, by a subset DP.
 
-    Trees are enumerated as nested partitions; guards are configurable but
-    the space grows hyper-exponentially.
+    F(S, h), the least cost of a subtree on marker S within height h, is the
+    minimum over partitions P of S into at least 2 blocks of
+    sum over B in P of (g_B / vol) log2(V_S / V_B) + F(B, h - 1), with
+    F({v}, h) = 0 and F(S, 1) the flat subtree.  A partition is built block
+    by block, each block holding the lowest vertex left, so the cost is
+    O(4^n k).  Volumes and cuts come from the degrees and `g.edges` alone.
+
+    Tie rule: among the trees whose cost is within DELTA_TOL of the optimum,
+    the first in canonical order wins: children by marker as a sorted tuple,
+    compared depth-first.  The guards are configurable.
     """
     if k < 2:
         raise InvariantViolation("height cap must be at least 2")
     if g.n > max_n:
-        raise SizeGuardExceeded(f"brute_force_kd limited to {max_n} vertices (got {g.n})")
+        raise SizeGuardExceeded(f"exact oracle limited to {max_n} vertices (got {g.n})")
     if k > max_k:
-        raise SizeGuardExceeded(f"brute_force_kd limited to height {max_k} (got {k})")
+        raise SizeGuardExceeded(f"exact oracle limited to height {max_k} (got {k})")
+    n, vol = g.n, g.volume
+    masks = range(1 << n)
+    vols = [0.0] * len(masks)
+    for s in masks[1:]:
+        low = s & -s
+        vols[s] = vols[s ^ low] + g.degree[low.bit_length() - 1]
+    cuts = [0.0] * len(masks)
+    for u, v, w in g.edges:
+        for s in masks:
+            if (s >> u & 1) != (s >> v & 1):
+                cuts[s] += w
+    logs = [0.0] + [math.log2(x) for x in vols[1:]]
 
-    best_h = math.inf
-    best_spec = None
-    best_key = None
-    for spec in _nested_specs(tuple(range(g.n)), k):
-        tree = build_tree(g, spec)
-        h = structural_entropy(g, tree, check=False)
-        if h < best_h:
-            best_h, best_spec, best_key = h, spec, None
-        elif h == best_h:
-            if best_key is None:
-                best_key = _spec_key(best_spec)
-            key = _spec_key(spec)
-            if key < best_key:
-                best_spec, best_key = spec, key
-    assert best_spec is not None
-    tree = build_tree(g, best_spec)
+    def members(s: int) -> list[int]:
+        return [v for v in range(n) if s >> v & 1]
+
+    def term(s: int, b: int) -> float:  # (g_b / vol) log2(V_s / V_b)
+        return cuts[b] / vol * (logs[s] - logs[b])
+
+    def blocks(s: int, r: int):
+        # Submasks of r holding its lowest vertex, other than s itself.
+        low = r & -r
+        rest = sub = r ^ low
+        while True:
+            if sub | low != s:
+                yield sub | low
+            if not sub:
+                return
+            sub = (sub - 1) & rest
+
+    def splits(s: int, below: list[float]):
+        # best[r] for each submask r of s: the least cost of splitting r into
+        # blocks under s, a block b costing cost(r, b).
+        def cost(r: int, b: int) -> float:
+            return term(s, b) + below[b] + best[r ^ b]
+
+        best = [0.0] * len(masks)
+        r = 0
+        while r != s:
+            r = (r - s) & s  # the next submask of s
+            best[r] = min(cost(r, b) for b in blocks(s, r))
+        return best, cost
+
+    # tables[h][s] = F(s, h); a singleton costs 0 at any height.
+    tables = [[], [left_sum(term(s, 1 << v) for v in members(s)) for s in masks]]
+    for h in range(2, k):
+        tables.append([splits(s, tables[h - 1])[0][s] if s & (s - 1) else 0.0
+                       for s in masks])
+
+    def pick(s: int, h: int, slack: float):
+        # The canonically first subtree on s within height h costing at most
+        # slack above F(s, h); returns it as a spec with the slack left.
+        if not s & (s - 1):
+            return members(s)[0], slack
+        if h == 1:
+            return members(s), slack
+        best, cost = splits(s, tables[h - 1])
+        spec, r = [], s
+        while r:
+            for b in sorted(blocks(s, r), key=members):
+                over = cost(r, b) - best[r]
+                if over <= slack:  # the cheapest block always fits
+                    break
+            child, slack = pick(b, h - 1, slack - over)
+            spec.append(child)
+            r ^= b
+        return spec, slack
+
+    tree = build_tree(g, pick(len(masks) - 1, k, DELTA_TOL)[0])
     return OptimizeResult(tree, structural_entropy(g, tree), ())
 
 

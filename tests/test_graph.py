@@ -206,6 +206,10 @@ BAD_NEW_VERTEX = [
     ("x", [("0", math.inf)]),
     ("x", [("0", math.nan)]),
     ("x", [("0", 10 ** 400)]),          # an integer beyond the float range
+    ("x", [("0", "abc")]),              # weights must be real numbers
+    ("x", [("0", "2.5")]),
+    ("x", [("0", None)]),
+    ("x", [("0", True)]),
     ("x", [("0", 1.0), ("0", 2.0)]),    # a repeated neighbour
     ("x", [("0", 1.0), ("q", 2.0)]),    # an unknown neighbour
     ("x", [("x", 1.0)]),                # the new vertex itself

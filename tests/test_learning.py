@@ -472,6 +472,11 @@ class TestInsertPoint:
             with pytest.raises(InvariantViolation, match="non-finite"):
                 st.insert_point(block_space, "x", {"0": 0.5, "1": x})
 
+    def test_non_real_similarity_rejected(self, block_space):
+        for x in ("abc", "2.5", None, True):
+            with pytest.raises(InvariantViolation, match="not a real number"):
+                st.insert_point(block_space, "x", {"0": 0.5, "1": x})
+
     def test_unknown_similarity_target_rejected(self, block_space):
         with pytest.raises(InvariantViolation, match="unknown vertex"):
             st.insert_point(block_space, "x", {"nope": 1.0})

@@ -6,7 +6,8 @@ import structen as st
 from structen import GraphParseError, InvariantViolation, SizeGuardExceeded
 from structen.optimize import cross_weight
 
-from conftest import assert_children_ordered, random_connected_graph, two_cliques
+from conftest import (assert_children_ordered, random_connected_graph, random_encoding_tree,
+                      two_cliques)
 
 BARBELL_H2 = 1.6995138503199656
 
@@ -352,6 +353,63 @@ class TestBruteForceKd:
             st.brute_force_kd(two_cliques(4), 3)
         with pytest.raises(SizeGuardExceeded):
             st.brute_force_kd(barbell, 4)
+
+    def test_tie_rule_p3(self, p3):
+        # [[0], [1, 2]] and [[0, 1], [2]] tie; the canonical order puts (0,) first
+        res = st.brute_force_kd(p3, 2)
+        assert res.tree == st.build_tree(p3, [0, [1, 2]])
+        assert res.entropy == pytest.approx(1.2924812503605783, abs=1e-12)
+
+    def test_tie_rule_c4(self, cycle4):
+        # the two pairings of the 4-cycle tie; {0, 1} comes before {0, 3}
+        for k in (2, 3):
+            res = st.brute_force_kd(cycle4, k)
+            assert res.tree == st.build_tree(cycle4, [[0, 1], [2, 3]])
+            assert res.entropy == pytest.approx(1.5, abs=1e-12)
+
+    def test_tie_rule_height_3(self):
+        # the 4-cycle 0-1-2-3 with a pendant 4 on 1: two height-3 trees tie
+        # to within rounding, and (0, 1, 4) comes before (0, 2, 3)
+        g = st.Graph.from_index_edges(
+            5, [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 4, 1.0), (2, 3, 1.0)])
+        tied = st.build_tree(g, [[0, [2, 3]], [1, 4]])
+        res = st.brute_force_kd(g, 3)
+        assert res.tree == st.build_tree(g, [[0, [1, 4]], [2, 3]])
+        assert res.entropy == pytest.approx(st.structural_entropy(g, tied), abs=1e-12)
+
+    def test_no_sampled_tree_beats_the_oracle(self):
+        # a check that enumerates nothing: random trees within the cap
+        rng = random.Random(30)
+        checked = 0
+        for i in range(30):
+            g = random_connected_graph(rng, 3, 7, weighted=i % 2 == 0)
+            k = 2 + i % 2
+            res = st.brute_force_kd(g, k, max_n=7)
+            assert res.tree.height() <= k
+            trees = [random_encoding_tree(g, rng) for _ in range(30)]
+            for _ in range(10):
+                labels = [rng.randrange(g.n) for _ in range(g.n)]
+                if len(set(labels)) > 1:
+                    parts = [{v for v in range(g.n) if labels[v] == b} for b in set(labels)]
+                    trees.append(st.from_partition(g, parts))
+            for t in trees:
+                if t.height() <= k:
+                    assert st.structural_entropy(g, t) >= res.entropy - 1e-12
+                    checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("weights", ["unit", "dyadic", "continuous"])
+    def test_greedy_never_beats_the_oracle_at_height_3(self, weights):
+        rng = random.Random(31)
+        for n in (7, 8, 9):
+            for _ in range(2):
+                g = random_connected_graph(rng, n, n, weighted=weights == "dyadic")
+                if weights == "continuous":
+                    g = st.Graph.from_index_edges(
+                        n, [(u, v, rng.uniform(0.5, 2.0)) for u, v, _ in g.edges])
+                exact = st.brute_force_kd(g, 3, max_n=9)
+                assert exact.tree.height() <= 3
+                assert exact.entropy <= st.minimize_kd(g, 3).entropy + 1e-12
 
     def test_monotone_chain_2_3_4(self):
         # height caps only widen the search space (guards lifted locally)
