@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
-from .graph import Graph, load_graph, load_similarity_csv, one_dim_entropy
+from .graph import Graph, load_graph, load_similarity_csv, one_dim_entropy, read_text
 from .learning import (DataSpace, FeatureCatalog, FeatureSet, abstraction_tree,
                        build_data_space, check_strict_growth, insert_point,
                        knowledge_tree)
@@ -27,9 +27,9 @@ def _fmt(x: float) -> str:
 
 
 def _read_json(path):
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"{path}: {exc}") from None
     except RecursionError:

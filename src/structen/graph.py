@@ -8,6 +8,7 @@ unit weights recover plain edge counting.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 from functools import reduce
@@ -176,6 +177,16 @@ class Graph:
         return len(self.vertex_ids)
 
 
+def read_text(path, newline: str | None = None) -> str:
+    """A whole file decoded as UTF-8; bytes that do not decode are a parse
+    error naming the file.  `newline` is passed to `open`."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_graph(path) -> Graph:
     """Parse an edge-list file.
 
@@ -186,29 +197,28 @@ def load_graph(path) -> Graph:
     ids: list[str] = []
     seen: set[str] = set()
     edges: list[tuple[str, str, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) not in (2, 3):
-                raise GraphParseError(f"{path}:{lineno}: expected 'u v [weight]', got {len(fields)} fields")
-            u, v = fields[0], fields[1]
-            if u == v:
-                raise InvariantViolation(f"{path}:{lineno}: self-loop at vertex {u!r}")
-            if len(fields) == 3:
-                try:
-                    w = float(fields[2])
-                except ValueError:
-                    raise GraphParseError(f"{path}:{lineno}: bad weight {fields[2]!r}") from None
-            else:
-                w = 1.0
-            for x in (u, v):
-                if x not in seen:
-                    seen.add(x)
-                    ids.append(x)
-            edges.append((u, v, w))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (2, 3):
+            raise GraphParseError(f"{path}:{lineno}: expected 'u v [weight]', got {len(fields)} fields")
+        u, v = fields[0], fields[1]
+        if u == v:
+            raise InvariantViolation(f"{path}:{lineno}: self-loop at vertex {u!r}")
+        if len(fields) == 3:
+            try:
+                w = float(fields[2])
+            except ValueError:
+                raise GraphParseError(f"{path}:{lineno}: bad weight {fields[2]!r}") from None
+        else:
+            w = 1.0
+        for x in (u, v):
+            if x not in seen:
+                seen.add(x)
+                ids.append(x)
+        edges.append((u, v, w))
     return Graph(ids, edges)
 
 
@@ -378,8 +388,7 @@ def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     The diagonal is ignored (zeroed).  Non-finite cells, asymmetry, negative
     entries and shape problems are parse errors.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_text(path, newline=""), newline="")))
     if len(rows) < 3:
         raise GraphParseError(f"{path}: similarity matrix needs at least 2 samples")
     ids = tuple(x.strip() for x in rows[0][1:])

@@ -18,19 +18,20 @@ cross weight are candidates, deltas are evaluated locally, and ties break
 deterministically on (min vertex of A, min vertex of B) with merge
 preferred over combine.
 
-The phases are incremental.  Each keeps a parent map, cached subtree
-heights and min vertices, updated along the changed path only (`_Shape`),
-and a heap of candidates keyed by the tie-break, invalidated lazily by
-per-node stamps.  The greedy phases also keep, for every sibling pair, the
-indices of the edges between the two in `g.edges` order.  A merge or
-combine re-scores only the pairs it touched: the new node with its
-siblings, the pairs under a fused node (their parent volume changed), and
-the parent with its own siblings (its children changed).  A flatten
-re-scores the parent and the promoted children.  Every candidate is scored
-by the same float expressions on the same operands as a full rescan would
-use, and a pair's weight is summed over its edges in `g.edges` order, so
-each step picks the same move with the same delta: traces, trees and
-entropies are identical to the exhaustive search, bit for bit.
+The phases are incremental and share one state per run, built from the
+star (`_Shape`): a parent map, cached subtree heights and min vertices,
+updated along the changed path only, and for every sibling pair the
+indices of the edges between the two in `g.edges` order.  Each phase keeps
+a heap of candidates keyed by the tie-break, invalidated lazily by
+per-node stamps.  A merge or combine re-scores only the pairs it touched:
+the new node with its siblings, the pairs under a fused node (their parent
+volume changed), and the parent with its own siblings (its children
+changed).  A flatten re-scores the parent and the promoted children.
+Every candidate is scored by the same float expressions on the same
+operands as a full rescan would use, and a pair's weight is summed over
+its edges in `g.edges` order, so each step picks the same move with the
+same delta: traces, trees and entropies are identical to the exhaustive
+search, bit for bit.
 """
 
 from __future__ import annotations
@@ -186,26 +187,26 @@ def minimize_2d(g: Graph) -> OptimizeResult:
 
 
 class _Shape:
-    """Parent links, subtree heights and min vertices of a tree that a phase
-    edits in place; each edit updates them along the changed path only."""
+    """The greedy's one state per run, built from the star and edited in
+    place by every phase: parent links, subtree heights and min vertices,
+    updated along the changed path only; each vertex's leaf; and `rows`,
+    where rows[x][y] lists the indices of the edges between siblings x and
+    y in `g.edges` order (rows[y][x] is the same list)."""
 
-    __slots__ = ("parent", "height", "low")
+    __slots__ = ("tree", "edges", "leaf", "parent", "height", "low", "rows")
 
-    def __init__(self, t: EncodingTree):
-        self.parent: dict[TreeNode, TreeNode] = {}
-        self.height: dict[TreeNode, int] = {}
-        self.low: dict[TreeNode, int] = {}
-        order = [t.root]
-        for node in order:
-            for c in node.children:
-                self.parent[c] = node
-                order.append(c)
-        for node in reversed(order):
-            if node.is_leaf:
-                self.height[node], self.low[node] = 0, node.vertex
-            else:
-                self.height[node] = 1 + max(self.height[c] for c in node.children)
-                self.low[node] = min(self.low[c] for c in node.children)
+    def __init__(self, g: Graph):
+        self.tree = star_tree(g)
+        root = self.tree.root
+        self.edges = g.edges
+        self.leaf = tuple(root.children)  # vertex -> leaf
+        self.parent: dict[TreeNode, TreeNode] = dict.fromkeys(self.leaf, root)
+        self.height: dict[TreeNode, int] = {root: 1, **dict.fromkeys(self.leaf, 0)}
+        self.low: dict[TreeNode, int] = {root: 0, **{c: c.vertex for c in self.leaf}}
+        self.rows: dict[TreeNode, dict[TreeNode, list[int]]] = {node: {} for node in self.height}
+        for i, (u, v, _) in enumerate(g.edges):  # each edge joins two sibling leaves
+            a, b = self.leaf[u], self.leaf[v]
+            self.rows[a][b] = self.rows[b][a] = [i]
 
     def depth(self, node: TreeNode) -> int:
         d = 0
@@ -246,8 +247,25 @@ class _Shape:
             self.height[node] = h
             node = self.parent.get(node)
 
+    def split(self, between: list[int], up: TreeNode) -> None:
+        """File edges, in order, under the pair of children of `up` that they
+        now join; every such pair must be new to `rows`, so each of its
+        lists stays ascending."""
+        parent, rows = self.parent, self.rows
+        for i in between:
+            u, v, _ = self.edges[i]
+            cu, cv = self.leaf[u], self.leaf[v]
+            while parent[cu] is not up:
+                cu = parent[cu]
+            while parent[cv] is not up:
+                cv = parent[cv]
+            pair = rows[cu].get(cv)
+            if pair is None:
+                pair = rows[cu][cv] = rows[cv][cu] = []
+            pair.append(i)
 
-def _greedy_phase(g: Graph, t: EncodingTree, k: int | None,
+
+def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
                   trace: list[TraceStep]) -> None:
     # Apply the best merge or combine until none improves.  A lazily
     # invalidated heap holds every candidate keyed by the tie-break
@@ -257,28 +275,9 @@ def _greedy_phase(g: Graph, t: EncodingTree, k: int | None,
     # re-scores exactly the pairs whose operands, parent or parent volume
     # it changed.
     vol, edges = g.volume, g.edges
-    shape = _Shape(t)
-    parent, height, low = shape.parent, shape.height, shape.low
+    parent, height, low, rows = shape.parent, shape.height, shape.low, shape.rows
     tick = itertools.count()
     stamp = {node: next(tick) for node in height}
-    leaf = {node.vertex: node for node in height if node.is_leaf}
-    # rows[x][y]: indices of the edges between siblings x and y in g.edges
-    # order; rows[x][y] and rows[y][x] are one list.
-    rows: dict[TreeNode, dict[TreeNode, list[int]]] = {node: {} for node in height}
-    for i, (u, v, _) in enumerate(edges):
-        a, b = leaf[u], leaf[v]
-        da, db = shape.depth(a), shape.depth(b)
-        for _ in range(da - db):
-            a = parent[a]
-        for _ in range(db - da):
-            b = parent[b]
-        while parent[a] is not parent[b]:
-            a, b = parent[a], parent[b]
-        pair = rows[a].get(b)
-        if pair is None:
-            pair = rows[a][b] = rows[b][a] = []
-        pair.append(i)
-
     heap: list[tuple] = []
 
     def fits(kind: int, a: TreeNode, b: TreeNode, up: TreeNode) -> bool:
@@ -358,6 +357,7 @@ def _greedy_phase(g: Graph, t: EncodingTree, k: int | None,
         for x, pair in row.items():
             rows[x][new] = pair
         rows[new] = row
+        shape.attach(new, up)
         if kind == 0:
             for side in (a, b):
                 if side.is_leaf:
@@ -365,22 +365,9 @@ def _greedy_phase(g: Graph, t: EncodingTree, k: int | None,
                 else:
                     shape.detach(side)
                     del stamp[side]
-            shape.attach(new, up)
-            # Split the A-B edges among the fused node's children.
-            for i in between:
-                u, v, _ = edges[i]
-                cu, cv = leaf[u], leaf[v]
-                while parent[cu] is not new:
-                    cu = parent[cu]
-                while parent[cv] is not new:
-                    cv = parent[cv]
-                pair = rows[cu].get(cv)
-                if pair is None:
-                    pair = rows[cu][cv] = rows[cv][cu] = []
-                pair.append(i)
+            shape.split(between, new)
         else:
             rows[a], rows[b] = {b: between}, {a: between}
-            shape.attach(new, up)
         for node in (new, up, *new.children):
             stamp[node] = next(tick)
         for x in row:
@@ -403,7 +390,7 @@ def _flatten(parent: TreeNode, node: TreeNode) -> None:
     parent.children.sort(key=TreeNode.min_vertex)
 
 
-def _compress_phase(g: Graph, t: EncodingTree, k: int,
+def _compress_phase(g: Graph, shape: _Shape, k: int,
                     trace: list[TraceStep]) -> None:
     # While too tall, flatten the over-deep internal node costing the least.
     # The heap key (-delta, min vertex, -marker size) orders like the path
@@ -413,8 +400,7 @@ def _compress_phase(g: Graph, t: EncodingTree, k: int,
     # parent and the promoted children only; depth + height never grows, so
     # an entry no longer over-deep is dropped for good.
     vol = g.volume
-    shape = _Shape(t)
-    parent, height = shape.parent, shape.height
+    parent, height, rows = shape.parent, shape.height, shape.rows
     tick = itertools.count()
     stamp: dict[TreeNode, int] = {}
     heap: list[tuple] = []
@@ -441,6 +427,9 @@ def _compress_phase(g: Graph, t: EncodingTree, k: int,
         shape.detach(node)
         for c in node.children:
             parent[c] = up
+        for x, pair in rows.pop(node).items():
+            del rows[x][node]
+            shape.split(pair, up)
         shape.settle(up)
         score(up)
         for c in node.children:
@@ -456,12 +445,12 @@ def minimize_kd(g: Graph, k: int) -> OptimizeResult:
     """
     if k < 2:
         raise InvariantViolation("height cap must be at least 2")
-    t = star_tree(g)
+    shape = _Shape(g)
     trace: list[TraceStep] = []
-    _greedy_phase(g, t, None, trace)
-    _compress_phase(g, t, k, trace)
-    _greedy_phase(g, t, k, trace)
-    return OptimizeResult(t, structural_entropy(g, t), tuple(trace))
+    _greedy_phase(g, shape, None, trace)
+    _compress_phase(g, shape, k, trace)
+    _greedy_phase(g, shape, k, trace)
+    return OptimizeResult(shape.tree, structural_entropy(g, shape.tree), tuple(trace))
 
 
 def parse_trace(text: str) -> tuple[TraceStep, ...]:

@@ -155,7 +155,8 @@ def from_partition(g: Graph, parts) -> EncodingTree:
 
 
 def build_tree(g: Graph, spec) -> EncodingTree:
-    """Build a tree from a nested spec: an int is a leaf, a list/tuple a node.
+    """Build a tree from a nested spec: an int is a leaf, a list/tuple a node;
+    any other value, a bool included, raises InvariantViolation.
 
     Example: [[0, 1], [2, [3, 4]]] is a height-3 tree over 5 vertices.
     Stats are computed from the graph.  This is the one place that makes a
@@ -175,9 +176,11 @@ def build_tree(g: Graph, spec) -> EncodingTree:
 
 
 def _spec_children(s):
-    if isinstance(s, str):  # iterating a string never bottoms out
-        raise InvariantViolation(f"bad node spec {s!r}")
-    return () if isinstance(s, int) else s
+    if isinstance(s, (list, tuple)):
+        return s
+    if isinstance(s, int) and not isinstance(s, bool):
+        return ()
+    raise InvariantViolation(f"bad node spec {s!r}")
 
 
 def leaf_chains(t: EncodingTree) -> tuple[list[tuple[NodePath, TreeNode]],

@@ -367,6 +367,30 @@ class TestInsertDocumentTypes:
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+NON_UTF8_INPUTS = {
+    # input document -> argv, "{}" standing for the files' directory
+    "edge list": ("entropy", "--graph", "{}/bad.txt"),
+    "tree": ("entropy", "--graph", "{}/barbell.tsv", "--tree", "{}/bad.txt"),
+    "similarity csv": ("build", "--similarity", "{}/bad.txt"),
+    "catalog": ("knowledge", "--graph", "{}/barbell.tsv", "--tree", "{}/twopart.json",
+                "--features", "{}/bad.txt"),
+    "space": ("insert", "--space", "{}/bad.txt", "--point", "{}/point.json"),
+    "point": ("insert", "--space", "{}/space.json", "--point", "{}/bad.txt"),
+}
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("argv", NON_UTF8_INPUTS.values(), ids=NON_UTF8_INPUTS.keys())
+    def test_exit_1_naming_the_file(self, files, capsys, argv):
+        run(capsys, "build", "--similarity", files / "blocks.csv", "--height", 2,
+            "--features", files / "blockfeat.json", "--space-out", files / "space.json")
+        (files / "bad.txt").write_bytes(b"a b\n\xff\n")
+        code, out, err = run(capsys, *(a.format(files) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {files / 'bad.txt'}: not UTF-8 text")
+        assert "Traceback" not in err
+
+
 class TestKnowledgeCommand:
     def test_worked_example(self, files, capsys):
         out_doc = files / "kdoc.json"

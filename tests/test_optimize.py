@@ -337,13 +337,26 @@ class TestBruteForce2d:
 
 class TestBruteForceKd:
     def test_k2_matches_partition_oracle(self):
+        # Every partition into at least 2 blocks, scored by the metric itself.
+        def partitions(items):
+            if not items:
+                yield []
+                return
+            for p in partitions(items[1:]):
+                yield [[items[0]], *p]
+                for i in range(len(p)):
+                    yield [*p[:i], [items[0], *p[i]], *p[i + 1:]]
+
         rng = random.Random(26)
-        for _ in range(10):
-            g = random_connected_graph(rng, 4, 6)
-            a = st.brute_force_2d(g)
-            b = st.brute_force_kd(g, 2)
-            assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
-            assert a.tree == b.tree
+        for i in range(18):
+            g = random_connected_graph(rng, 3, 7, weighted=i % 2 == 0)
+            scored = [(st.structural_entropy(g, st.from_partition(g, p)), p)
+                      for p in partitions(list(range(g.n))) if len(p) >= 2]
+            best = min(h for h, _ in scored)
+            got = st.brute_force_kd(g, 2, max_n=7)
+            assert abs(got.entropy - best) <= 1e-12
+            assert any(got.tree == st.from_partition(g, p)
+                       for h, p in scored if h <= best + 1e-12)
 
     def test_barbell_k3_at_most_k2(self, barbell):
         assert st.brute_force_kd(barbell, 3).entropy <= st.brute_force_2d(barbell).entropy + 1e-12

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -206,10 +207,17 @@ class TestBuildTree:
                 build()
             assert str(err.value) == f"invalid encoding tree: {message}"
 
-    def test_string_in_spec_rejected(self, k4):
-        # a one-letter string iterates to itself, so it must not pass as a node
-        with pytest.raises(InvariantViolation, match="bad node spec '23'"):
-            st.build_tree(k4, [[0, 1], "23"])
+    @pytest.mark.parametrize("bad, spec", [
+        ("'23'", [[0, 1], "23"]),  # a one-letter string iterates to itself
+        ("2.0", [0, [1, 2.0], 3]),
+        ("None", [0, [1, None], 3]),
+        ("{2: 0, 3: 0}", [[0, 1], {2: 0, 3: 0}]),
+        ("True", [[0, 1], [2, 3], True]),
+        ("False", [[False, 1], [2, 3]]),
+    ], ids=["string", "float", "none", "dict", "true", "false"])
+    def test_bad_spec_rejected(self, k4, bad, spec):
+        with pytest.raises(InvariantViolation, match=f"^bad node spec {re.escape(bad)}$"):
+            st.build_tree(k4, spec)
 
     def test_refresh_stats_fixes_staleness(self, k4):
         t = st.star_tree(k4)
