@@ -24,7 +24,7 @@ from .graph import (Graph, left_sum, one_dim_entropy, positive_pairs, real_weigh
 from .metrics import cached_entropy, node_terms, structural_entropy, term_sum
 from .optimize import minimize_kd
 from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_chains,
-                   validate_structure, walk)
+                   refresh_stats, walk)
 
 
 @dataclass(frozen=True)
@@ -312,10 +312,11 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     in order: the module's subtree in preorder, its parent, its siblings.
     The first is the home slot: the module itself, or its parent when the
     module is a leaf at the height cap.  The attachment edge count is swept
-    for maximal decodable information with the point in the home slot; on
-    the winning graph, scored home first, each other slot replaces the best
-    so far only if its entropy is lower by more than 1e-12.  No slot lets
-    the decoder grow past the space's height.
+    for maximal decodable information with the point in the home slot.
+    Then `refresh_stats` checks each slot and computes its stats on the
+    winning graph, home first, and a slot replaces the best so far only if
+    its entropy is lower by more than 1e-12; `h_after` is the winner's.  No
+    slot lets the decoder grow past the space's height.
     """
     point_id = str(point_id)
     g = ds.graph
@@ -339,25 +340,18 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     target = choose_abstraction(ds, features.pick(ds.abstraction_source))
     h_before = structural_entropy(g, ds.decoder)
     x = g.n
-    base = _marker_cuts(g, ds.decoder)
     placements = [_apply_position(ds.decoder, path, x)
                   for path in _slots(ds.decoder, target.decoder_path, ds.height)]
-    placed = [_placed_cuts(tree, base, x) for tree in placements]
     attachment = [(g.vertex_ids[v], w) for w, v in weights]
     g.with_vertex(point_id, attachment)  # checks every count: each is a subgraph of this
-    best_k = _best_count(g, placements[0], placed[0], weights)
+    best_k = _best_count(g, placements[0], weights)
     new_graph = g.with_vertex(point_id, attachment[:best_k])
-    new_edges = new_graph.edges[len(g.edges):]
-    degree_of = new_graph.degree.__getitem__
-    new_tree, best_h = None, math.inf
-    for tree, (nodes, chains, cuts) in zip(placements, placed):  # home first
-        add_crossing(cuts, chains, new_edges)
-        for (_, node), cut in zip(nodes, cuts):
-            node.vol, node.cut = left_sum(map(degree_of, node.vertices)), cut
+    new_tree, h_after = None, math.inf
+    for tree in placements:  # home first
+        refresh_stats(new_graph, tree)
         h = cached_entropy(tree, new_graph.volume)
-        if h < best_h - 1e-12:
-            best_h, new_tree = h, tree
-    h_after = structural_entropy(new_graph, new_tree)
+        if h < h_after - 1e-12:
+            new_tree, h_after = tree, h
 
     catalog = ds.catalog.with_entry(point_id, features)
     out = DataSpace.from_decoder(new_graph, new_tree, catalog, ds.construction_k,
@@ -373,49 +367,25 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     return out, report
 
 
-def _marker_cuts(g: Graph, t: EncodingTree) -> dict:
-    """Every marker of t, a valid tree over g, mapped to its cut, from one
-    pass over g's edges; the empty marker maps to 0.0."""
-    nodes, chains = leaf_chains(t)
-    cuts = [0.0] * len(nodes)
-    add_crossing(cuts, chains, g.edges)
-    base = {node.vertices: cut for (_, node), cut in zip(nodes, cuts)}
-    base[frozenset()] = 0.0
-    return base
-
-
-def _placed_cuts(t: EncodingTree, base, x: int):
-    """Preorder nodes and leaf chains of a placement of a new vertex x,
-    after its structure check, and each node's cut over the old edges.
-
-    A node crosses the same old edges as its marker without x, so its cut
-    is read from `_marker_cuts` of the tree x was placed in; x's own leaf
-    crosses none.
-    """
-    msg = validate_structure(t, x + 1)
-    if msg:
-        raise InvariantViolation(f"invalid encoding tree: {msg}")
-    nodes, chains = leaf_chains(t)
-    return nodes, chains, [base[node.vertices - {x}] for _, node in nodes]
-
-
-def _best_count(g: Graph, home: EncodingTree, placed, weights) -> int:
+def _best_count(g: Graph, home: EncodingTree, weights) -> int:
     """Attachment count k with the most decodable information, H1 - H(home),
     on g plus the edges from x = g.n to the first k (w, v) of `weights`;
     ties keep the smaller k.
 
-    Starts from home's `_placed_cuts`, which it leaves as they are; then
-    each count costs O(n + nodes).  H's terms are kept in flat lists, in the
-    order `metrics.cached_entropy` sums them, and a count recomputes only
-    the terms of the nodes on the two changed leaf chains and of their
+    One checked `leaf_chains` of home and one pass over g's edges give
+    every node's old-edge cut (x has no old edge); then each count costs
+    O(n + nodes).  H's terms are kept in flat lists, in the order
+    `metrics.cached_entropy` sums them, and a count recomputes only the
+    terms of the nodes on the two changed leaf chains and of their
     children.  A count's graph lists its new edges after every old one, and
     every degree, volume, vol and cut is a left fold, so each value here is
     bit for bit what `Graph` and `refresh_stats` compute on that graph.  The
     caller has checked the graph with every edge of `weights`.
     """
     x = g.n
-    nodes, chains, cuts = placed
-    cuts = list(cuts)
+    nodes, chains = leaf_chains(home, x + 1)
+    cuts = [0.0] * len(nodes)
+    add_crossing(cuts, chains, g.edges)
     deg = [*g.degree, 0.0]
     degree_of = deg.__getitem__
     markers = [node.vertices for _, node in nodes]
@@ -470,7 +440,8 @@ def _slots(t: EncodingTree, module_path, cap: int) -> list[tuple[int, ...]]:
 
 
 def _apply_position(decoder: EncodingTree, path, x: int) -> EncodingTree:
-    """Decoder copy with x inserted as a new leaf at the node at path.
+    """Decoder copy with x, a vertex above all of the decoder's, inserted
+    as a new leaf at the node at path.
 
     An internal node gains x as one more child; a leaf grows into a
     two-leaf module holding its vertex and x.  Its stats are left stale.
@@ -484,8 +455,7 @@ def _apply_position(decoder: EncodingTree, path, x: int) -> EncodingTree:
     if node.is_leaf:
         node.children = [TreeNode(node.vertices), leaf]
     else:
-        node.children.append(leaf)
-        node.children.sort(key=TreeNode.min_vertex)
+        node.children.append(leaf)  # x is the largest vertex, so order needs no sort
     node.vertices |= {x}
     return t
 

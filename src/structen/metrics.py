@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import InvariantViolation
 from .graph import (Graph, VertexSet, check_distribution, conductance_exact,
                     cut_weight, one_dim_entropy, subset_volume)
-from .tree import EncodingTree, TreeNode, check_valid, fold, validate_structure
+from .tree import EncodingTree, TreeNode, check_valid, fold, leaf_chains
 
 IDENTITY_TOL = 1e-9
 
@@ -118,9 +118,7 @@ def distribution_entropy(p: Sequence[float], t: EncodingTree) -> float:
     Independent of the tree and equal to the Shannon entropy of p.
     """
     p = check_distribution(p)
-    msg = validate_structure(t, len(p))
-    if msg:
-        raise InvariantViolation(f"invalid items tree: {msg}")
+    leaf_chains(t, len(p), "invalid items tree: ")  # checks the shape
 
     masses: dict[int, float] = {}
 

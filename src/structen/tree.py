@@ -183,12 +183,21 @@ def _spec_children(s):
     raise InvariantViolation(f"bad node spec {s!r}")
 
 
-def leaf_chains(t: EncodingTree) -> tuple[list[tuple[NodePath, TreeNode]],
-                                          dict[int, tuple[int, ...]]]:
+def leaf_chains(t: EncodingTree, n: int, invalid: str = "invalid encoding tree: "
+                ) -> tuple[list[tuple[NodePath, TreeNode]], dict[int, tuple[int, ...]]]:
     """Every (path, node) in preorder, and each vertex's chain of indices
-    into that list, from the root to its leaf.  The tree's structure must
-    already be valid.
+    into that list, from the root to its leaf.
+
+    The same walk checks that t is a partition tree over n items: the root
+    marker is range(n), every leaf is a singleton, and every internal node
+    has at least 2 children that partition its marker.  The first violation
+    in preorder raises InvariantViolation(invalid + reason).
     """
+    def fail(reason: str):
+        raise InvariantViolation(invalid + reason)
+
+    if t.root.vertices != frozenset(range(n)):
+        fail("root marker must be the whole item set (at root)")
     nodes: list[tuple[NodePath, TreeNode]] = []
     chains: dict[int, tuple[int, ...]] = {}  # vertex -> node indices, root first
     stack = [((), t.root, ())]
@@ -196,10 +205,20 @@ def leaf_chains(t: EncodingTree) -> tuple[list[tuple[NodePath, TreeNode]],
         path, node, chain = stack.pop()
         chain += (len(nodes),)
         nodes.append((path, node))
-        if node.is_leaf:
-            chains[node.vertex] = chain
-        for i in range(len(node.children) - 1, -1, -1):
-            stack.append((path + (i,), node.children[i], chain))
+        kids = node.children
+        if not kids:
+            if len(node.vertices) != 1:
+                fail(f"leaf marker is not a singleton at {format_path(path)}")
+            chains[next(iter(node.vertices))] = chain
+            continue
+        if len(kids) < 2:
+            fail(f"internal node has fewer than 2 children at {format_path(path)}")
+        markers = [c.vertices for c in kids]
+        if (sum(map(len, markers)) != len(node.vertices)
+                or frozenset().union(*markers) != node.vertices):
+            fail(f"children do not partition the marker at {format_path(path)}")
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i], chain))
     return nodes, chains
 
 
@@ -215,14 +234,15 @@ def add_crossing(cuts: list[float], chains, edges) -> None:
             cuts[i] += w
 
 
-def _node_stats(g: Graph, t: EncodingTree) -> list[tuple[NodePath, TreeNode, float, float]]:
-    """(path, node, vol, cut) of every node in preorder, from one edge pass.
+def _node_stats(g: Graph, t: EncodingTree, invalid: str = "invalid encoding tree: "
+                ) -> list[tuple[NodePath, TreeNode, float, float]]:
+    """(path, node, vol, cut) of every node in preorder, from one checked
+    walk and one edge pass.
 
     Each cut folds its edges' weights in `g.edges` order, so it is the same
-    float sum `cut_weight` makes.  The tree's structure must already be
-    valid.
+    float sum `cut_weight` makes.  A shape fault raises as in `leaf_chains`.
     """
-    nodes, chains = leaf_chains(t)
+    nodes, chains = leaf_chains(t, g.n, invalid)
     cuts = [0.0] * len(nodes)
     add_crossing(cuts, chains, g.edges)
     deg = g.degree
@@ -231,41 +251,20 @@ def _node_stats(g: Graph, t: EncodingTree) -> list[tuple[NodePath, TreeNode, flo
 
 
 def refresh_stats(g: Graph, t: EncodingTree) -> None:
-    """Recompute every cached vol and cut from the graph, in place."""
-    msg = validate_structure(t, g.n)
-    if msg:
-        raise InvariantViolation(f"invalid encoding tree: {msg}")
+    """Check t's shape and recompute every cached vol and cut from the
+    graph, in place: the one routine that writes node stats."""
     for _, node, vol, cut in _node_stats(g, t):
         node.vol, node.cut = vol, cut
 
 
-def validate_structure(t: EncodingTree, n: int) -> str | None:
-    """Partition-tree shape checks alone (no graph): None if fine."""
-    if t.root.vertices != frozenset(range(n)):
-        return "root marker must be the whole item set (at root)"
-    for path, node in t.walk():
-        if node.is_leaf:
-            if len(node.vertices) != 1:
-                return f"leaf marker is not a singleton at {format_path(path)}"
-            continue
-        if len(node.children) < 2:
-            return f"internal node has fewer than 2 children at {format_path(path)}"
-        union: set[int] = set()
-        total = 0
-        for child in node.children:
-            union.update(child.vertices)
-            total += len(child.vertices)
-        if total != len(union) or union != set(node.vertices):
-            return f"children do not partition the marker at {format_path(path)}"
-    return None
-
-
 def validate(g: Graph, t: EncodingTree) -> str | None:
-    """Ground-truth check of all invariants; returns the first violation or None."""
-    msg = validate_structure(t, g.n)
-    if msg:
-        return msg
-    for path, node, vol, cut in _node_stats(g, t):
+    """Ground-truth check of all invariants; returns the first violation or
+    None.  Shape faults come first, in preorder, then stale stats."""
+    try:
+        stats = _node_stats(g, t, invalid="")
+    except InvariantViolation as err:
+        return str(err)
+    for path, node, vol, cut in stats:
         if abs(node.vol - vol) > STAT_TOL:
             return f"stale cached stats (vol {node.vol!r} vs {vol!r}) at {format_path(path)}"
         if abs(node.cut - cut) > STAT_TOL:

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,23 @@ class TestEntropyCommand:
     def test_missing_file_exit_1(self, files, capsys):
         code, _, _ = run(capsys, "entropy", "--graph", files / "nope.tsv")
         assert code == 1
+
+    def test_runs_as_module(self, tmp_path):
+        # `python -m structen.cli` runs the same entry point as the console script
+        (tmp_path / "path.txt").write_text("a b\nb c\n", encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "structen.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=60)
+
+        done = cli("entropy", "--graph", "path.txt")
+        assert (done.returncode, done.stdout) == (0, "h1 1.500000000\n")
+        done = cli("entropy", "--graph", "nope.txt")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: ")
 
     def test_trace_file_replays_to_printed_result(self, files, capsys):
         rng = random.Random(40)

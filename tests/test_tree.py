@@ -95,6 +95,64 @@ class TestValidate:
         msg = st.validate(k4, t)
         assert msg == "leaf marker is not a singleton at 0"
 
+    @pytest.mark.parametrize("tree, message", [
+        # (tree over k4 as nested (marker, children, stale stats), first fault)
+        (([0, 1, 2, 3], [([0, 1], [([0, 1], [])]), ([2, 3], [])]),
+         "internal node has fewer than 2 children at 0"),
+        (([0, 1, 2, 3], [([0, 1, 2], [([0], []), ([1, 2], [])]), ([3], [([3], [])])]),
+         "leaf marker is not a singleton at 0.1"),
+        (([0, 1, 2, 3], [([0, 1], [([0], [], {"cut": 9.0}), ([0, 1], [])]),
+                         ([2], []), ([3], [])]),
+         "children do not partition the marker at 0"),
+        (([0, 1, 2, 3], [([0], [], {"cut": 9.0}), ([1, 2, 3], [([1], []), ([2], [])])]),
+         "children do not partition the marker at 1"),
+        (([0, 1, 2, 3], [([0, 1], [([0], [])]), ([2, 3], [([2], []), ([3], [])])]),
+         "internal node has fewer than 2 children at 0"),
+        (([0, 1, 2], [([0], []), ([1, 2], [([1, 2], [])])]),
+         "root marker must be the whole item set (at root)"),
+        (([0, 1, 2, 3], [([0, 1], [([0], []), ([1], [])]), ([1, 2, 3], [([1, 2, 3], [])])]),
+         "children do not partition the marker at root"),
+        (([0, 1, 2, 3], [([0, 1, 2], [([0], []), ([1], []), ([2], [])], {"vol": 1.0}),
+                         ([2, 3], [([2], []), ([3], [])])]),
+         "children do not partition the marker at root"),
+    ], ids=["single-child-before-big-leaf", "deep-before-shallow",
+            "partition-above-stale-cut", "stale-cut-before-partition",
+            "single-child-before-partition-same-node", "root-marker-first",
+            "partition-before-child-faults", "partition-above-stale-vol"])
+    def test_first_fault_in_preorder(self, k4, tree, message):
+        # shape faults come first, in preorder, then stale stats; every
+        # entry point reports the same fault, behind its own prefix
+        def node(marker, children, stale=None):
+            kids = [node(*c) for c in children]
+            cut = st.cut_weight(k4, marker) if len(marker) < k4.n else 0.0
+            out = TreeNode(marker, st.subset_volume(k4, marker), cut, kids)
+            for attr, value in (stale or {}).items():
+                setattr(out, attr, value)
+            return out
+
+        t = st.EncodingTree(node(*tree))
+        assert st.validate(k4, t) == message
+        with pytest.raises(InvariantViolation) as err:
+            st.refresh_stats(k4, t)
+        assert str(err.value) == f"invalid encoding tree: {message}"
+        with pytest.raises(InvariantViolation) as err:
+            st.distribution_entropy([0.25] * 4, t)
+        assert str(err.value) == f"invalid items tree: {message}"
+
+    @pytest.mark.parametrize("stale, message", [
+        ({(0,): {"cut": 9.0}, (1,): {"vol": 5.0}}, "stale cached stats (cut 9.0 vs 4.0) at 0"),
+        ({(1,): {"vol": 5.0, "cut": 9.0}}, "stale cached stats (vol 5.0 vs 6.0) at 1"),
+        ({(1, 0): {"cut": 0.5}, (): {"vol": 2.0}}, "stale cached stats (vol 2.0 vs 12.0) at root"),
+        ({(1,): {"vol": 0.5}, (0, 1): {"cut": 0.5}},
+         "stale cached stats (cut 0.5 vs 3.0) at 0.1"),
+    ], ids=["earlier-node-first", "vol-before-cut", "root-first", "preorder-not-depth"])
+    def test_first_stale_stat_in_preorder(self, k4, stale, message):
+        t = st.from_partition(k4, [{0, 1}, {2, 3}])
+        for path, stats in stale.items():
+            for attr, value in stats.items():
+                setattr(t.node_at(path), attr, value)
+        assert st.validate(k4, t) == message
+
 
 class TestCodeword:
     def test_star(self, k4):
