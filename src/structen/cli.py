@@ -147,6 +147,8 @@ def cmd_insert(args) -> int:
     point = _read_json(args.point)
     if not isinstance(point, dict) or "id" not in point or "sims" not in point:
         raise GraphParseError(f"{args.point}: point document needs 'id' and 'sims'")
+    if not isinstance(point["id"], (str, int)) or isinstance(point["id"], bool):
+        raise GraphParseError(f"{args.point}: 'id' must be a string or an integer")
     sims = point["sims"]
     if not isinstance(sims, dict) or not all(_is_number(w) for w in sims.values()):
         raise GraphParseError(f"{args.point}: 'sims' must map vertex ids to weights")

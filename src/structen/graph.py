@@ -299,7 +299,7 @@ def check_distribution(p: Sequence[float]) -> tuple[float, ...]:
         raise InvariantViolation("distribution has a non-finite entry")
     if min(p) < 0:
         raise InvariantViolation("distribution has a negative entry")
-    total = sum(p)
+    total = left_sum(p)
     if abs(total - 1.0) > _DISTRIBUTION_TOL:
         raise InvariantViolation(f"distribution sums to {total!r}, not 1")
     return p
@@ -308,7 +308,7 @@ def check_distribution(p: Sequence[float]) -> tuple[float, ...]:
 def shannon_entropy(p: Sequence[float]) -> float:
     """-sum p_i log2 p_i with 0 log 0 = 0."""
     log2 = math.log2
-    return -sum([x * log2(x) for x in check_distribution(p) if x > 0])
+    return -left_sum([x * log2(x) for x in check_distribution(p) if x > 0])
 
 
 def one_dim_entropy(g: Graph) -> float:

@@ -465,11 +465,13 @@ def classify_by_abstraction(abstraction_sets: Sequence[tuple[str, Iterable[str]]
     """Label whose abstraction set has the largest mean sample value.
 
     Tokens absent from the sample count as 0; ties keep the first label in
-    input order.  Every sample value must be a finite real number.
+    input order.  Every sample value must be a finite real number, not a
+    bool, and every token set a collection of tokens, not one string.
     """
     for tok, value in sample.items():
         try:
-            finite = isinstance(value, numbers.Real) and math.isfinite(value)
+            finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                      and math.isfinite(value))
         except OverflowError:  # an integer beyond the float range
             finite = False
         if not finite:
@@ -477,10 +479,13 @@ def classify_by_abstraction(abstraction_sets: Sequence[tuple[str, Iterable[str]]
     best_label = None
     best_mean = -float("inf")
     for label, tokens in abstraction_sets:
+        if isinstance(tokens, str):
+            raise InvariantViolation(f"abstraction set for label {label!r} is a string, "
+                                     "not a collection of tokens")
         tokens = tuple(tokens)
         if not tokens:
             raise InvariantViolation(f"empty abstraction set for label {label!r}")
-        mean = sum(float(sample.get(tok, 0.0)) for tok in tokens) / len(tokens)
+        mean = left_sum(float(sample.get(tok, 0.0)) for tok in tokens) / len(tokens)
         if mean > best_mean:
             best_mean, best_label = mean, label
     if best_label is None:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InvariantViolation
 from .graph import (Graph, VertexSet, check_distribution, conductance_exact,
-                    cut_weight, one_dim_entropy, subset_volume)
+                    cut_weight, left_sum, one_dim_entropy, subset_volume)
 from .tree import EncodingTree, TreeNode, check_valid, fold, leaf_chains
 
 IDENTITY_TOL = 1e-9
@@ -71,7 +71,7 @@ def node_terms(t: EncodingTree):
 def term_sum(terms: Iterable[tuple[float, float]], vol: float) -> float:
     """-sum of w / vol * l over (w, l) terms, in the order given: the one sum
     behind every tree functional, where l is a node's log2(V_a / V_parent)."""
-    return -sum([w / vol * l for w, l in terms])
+    return -left_sum([w / vol * l for w, l in terms])
 
 
 def _tree_sum(t: EncodingTree, vol: float, weight: Callable[[TreeNode], float]) -> float:
@@ -123,7 +123,7 @@ def distribution_entropy(p: Sequence[float], t: EncodingTree) -> float:
     masses: dict[int, float] = {}
 
     def mass(node: TreeNode, child_masses) -> float:
-        m = p[node.vertex] if node.is_leaf else sum(child_masses)
+        m = p[node.vertex] if node.is_leaf else left_sum(child_masses)
         masses[id(node)] = m
         return m
 

@@ -20,10 +20,14 @@ preferred over combine.
 
 The phases are incremental and share one state per run, built from the
 star (`_Shape`): a parent map, cached subtree heights and min vertices,
-updated along the changed path only, and for every sibling pair the
-indices of the edges between the two in `g.edges` order.  Each phase keeps
-a heap of candidates keyed by the tie-break, invalidated lazily by
-per-node stamps.  A merge or combine re-scores only the pairs it touched:
+updated along the changed path only, for every sibling pair the indices
+of the edges between the two in `g.edges` order, and one stamp per node.
+`_Shape` owns the step operators: `pair` merges or combines two siblings
+and `flatten` promotes a node's children; every phase and `replay_trace`
+apply steps through them, and they renew the stamp of every node that
+moved or whose children changed.  Each phase keeps a heap of candidates
+keyed by the tie-break, invalidated lazily by those stamps.  A merge or
+combine re-scores only the pairs it touched:
 the new node with its siblings, the pairs under a fused node (their parent
 volume changed), and the parent with its own siblings (its children
 changed).  A flatten re-scores the parent and the promoted children.
@@ -140,26 +144,6 @@ def _combine_delta(vol: float, v_parent: float, va: float, vb: float, w_ab: floa
     return 2.0 * w_ab / vol * math.log2(v_parent / (va + vb))
 
 
-def _merged_node(a: TreeNode, b: TreeNode, w_ab: float) -> TreeNode:
-    children = list(a.children or [a]) + list(b.children or [b])
-    children.sort(key=TreeNode.min_vertex)
-    return TreeNode(a.vertices | b.vertices, a.vol + b.vol,
-                    a.cut + b.cut - 2.0 * w_ab, children)
-
-
-def _combined_node(a: TreeNode, b: TreeNode, w_ab: float) -> TreeNode:
-    children = sorted([a, b], key=TreeNode.min_vertex)
-    return TreeNode(a.vertices | b.vertices, a.vol + b.vol,
-                    a.cut + b.cut - 2.0 * w_ab, children)
-
-
-def _replace_pair(parent: TreeNode, a: TreeNode, b: TreeNode, new: TreeNode) -> None:
-    # The new node takes the earlier operand's slot: min-vertex order holds.
-    i, j = parent.children.index(a), parent.children.index(b)
-    parent.children[min(i, j)] = new
-    del parent.children[max(i, j)]
-
-
 def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None) -> EncodingTree:
     """Insert a new parent above siblings a and b; returns a new tree."""
     pa, pb = tuple(a), tuple(b)
@@ -176,7 +160,9 @@ def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None
         if new_height > height_cap:
             raise InvariantViolation(f"height cap exceeded ({new_height} > {height_cap})")
     w = cross_weight(g, na.vertices, nb.vertices)
-    _replace_pair(parent, na, nb, _combined_node(na, nb, w))
+    new = TreeNode(na.vertices | nb.vertices, na.vol + nb.vol, na.cut + nb.cut - 2.0 * w,
+                   sorted([na, nb], key=TreeNode.min_vertex))
+    parent.children = [new, *(c for c in parent.children if c is not na and c is not nb)]
     parent.children.sort(key=TreeNode.min_vertex)  # a user's tree may be unordered
     return out
 
@@ -188,12 +174,16 @@ def minimize_2d(g: Graph) -> OptimizeResult:
 
 class _Shape:
     """The greedy's one state per run, built from the star and edited in
-    place by every phase: parent links, subtree heights and min vertices,
-    updated along the changed path only; each vertex's leaf; and `rows`,
-    where rows[x][y] lists the indices of the edges between siblings x and
-    y in `g.edges` order (rows[y][x] is the same list)."""
+    place by every phase and by `replay_trace`: parent links, subtree
+    heights and min vertices (`low`), updated along the changed path only;
+    each vertex's leaf; `rows`, where rows[x][y] lists the indices of the
+    edges between siblings x and y in `g.edges` order (rows[y][x] is the
+    same list); and one `stamp` per live node, renewed whenever the node
+    moves or its children change, so that a heap entry scored before the
+    change can tell it is stale.  `pair` and `flatten` are the only step
+    operators; both keep every child list in `low` order."""
 
-    __slots__ = ("tree", "edges", "leaf", "parent", "height", "low", "rows")
+    __slots__ = ("tree", "edges", "leaf", "parent", "height", "low", "rows", "stamp", "tick")
 
     def __init__(self, g: Graph):
         self.tree = star_tree(g)
@@ -207,6 +197,8 @@ class _Shape:
         for i, (u, v, _) in enumerate(g.edges):  # each edge joins two sibling leaves
             a, b = self.leaf[u], self.leaf[v]
             self.rows[a][b] = self.rows[b][a] = [i]
+        self.tick = itertools.count()
+        self.stamp: dict[TreeNode, int] = {node: next(self.tick) for node in self.height}
 
     def depth(self, node: TreeNode) -> int:
         d = 0
@@ -223,11 +215,64 @@ class _Shape:
             node = up
         return tuple(reversed(out))
 
+    def pair(self, kind: int, a: TreeNode, b: TreeNode, w: float) -> TreeNode:
+        """Merge (kind 0) or combine (kind 1) siblings a and b, whose edges
+        between them weigh w; the new node takes the earlier operand's slot
+        and is returned."""
+        rows, up = self.rows, self.parent[a]
+        children = [a, b] if kind else [*(a.children or [a]), *(b.children or [b])]
+        children.sort(key=self.low.__getitem__)
+        new = TreeNode(a.vertices | b.vertices, a.vol + b.vol, a.cut + b.cut - 2.0 * w, children)
+        i, j = up.children.index(a), up.children.index(b)
+        up.children[min(i, j)] = new
+        del up.children[max(i, j)]
+        between = rows[a].pop(b, [])  # no edges: only a replayed step, never the greedy
+        rows[b].pop(a, None)
+        row: dict[TreeNode, list[int]] = {}
+        for side in (a, b):
+            for x, ids in rows.pop(side).items():
+                del rows[x][side]
+                prev = row.get(x)
+                row[x] = ids if prev is None else sorted(prev + ids)
+        for x, ids in row.items():
+            rows[x][new] = ids
+        rows[new] = row
+        self.attach(new, up)
+        if kind:
+            rows[a], rows[b] = {b: between}, {a: between}
+        else:
+            for side in (a, b):
+                if side.is_leaf:
+                    rows[side] = {}
+                else:
+                    self.detach(side)
+            self.split(between, new)
+        return new
+
+    def flatten(self, node: TreeNode) -> None:
+        """Promote an internal node's children to its parent, in `low`
+        order, and forget the node."""
+        up = self.parent[node]
+        up.children = [c for c in up.children if c is not node] + node.children
+        up.children.sort(key=self.low.__getitem__)
+        self.detach(node)
+        for c in node.children:
+            self.parent[c] = up
+            self.stamp[c] = next(self.tick)
+        self.stamp[up] = next(self.tick)
+        for x, ids in self.rows.pop(node).items():
+            del self.rows[x][node]
+            self.split(ids, up)
+        self.settle(up)
+
     def attach(self, node: TreeNode, up: TreeNode) -> None:
         """Register a node that a merge or combine just put under `up`."""
+        stamp, tick = self.stamp, self.tick
         for c in node.children:
             self.parent[c] = node
+            stamp[c] = next(tick)
         self.parent[node] = up
+        stamp[node], stamp[up] = next(tick), next(tick)
         self.low[node] = self.low[node.children[0]]
         h = self.height[node] = 1 + max(self.height[c] for c in node.children)
         while up is not None and self.height[up] <= h:  # heights only grow here
@@ -236,7 +281,7 @@ class _Shape:
 
     def detach(self, node: TreeNode) -> None:
         """Forget a node whose children were handed to another node."""
-        del self.parent[node], self.height[node], self.low[node]
+        del self.parent[node], self.height[node], self.low[node], self.stamp[node]
 
     def settle(self, node: TreeNode | None) -> None:
         """Recompute heights upward from a node that lost depth below it."""
@@ -270,14 +315,12 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
     # Apply the best merge or combine until none improves.  A lazily
     # invalidated heap holds every candidate keyed by the tie-break
     # (-delta, minA, minB, kind); an entry is live while both operands keep
-    # the stamps they had when it was scored.  A node's stamp changes when
-    # it moves to a new parent or its own children change, and each step
-    # re-scores exactly the pairs whose operands, parent or parent volume
-    # it changed.
+    # the stamps they had when it was scored, and each step re-scores
+    # exactly the pairs whose operands, parent or parent volume it changed.
     vol, edges = g.volume, g.edges
     parent, height, low, rows = shape.parent, shape.height, shape.low, shape.rows
-    tick = itertools.count()
-    stamp = {node: next(tick) for node in height}
+    stamp = shape.stamp
+    pushes = itertools.count()
     heap: list[tuple] = []
 
     def fits(kind: int, a: TreeNode, b: TreeNode, up: TreeNode) -> bool:
@@ -305,13 +348,13 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
             else:
                 d = _general_merge_delta(vol, up, a, b, w)
             if d > DELTA_TOL:
-                heapq.heappush(heap, (-d, low[a], low[b], 0, next(tick),
+                heapq.heappush(heap, (-d, low[a], low[b], 0, next(pushes),
                                       a, b, stamp[a], stamp[b], w))
         # A leaf-leaf combine builds the very tree the merge builds; skip it.
         if not (a.is_leaf and b.is_leaf) and fits(1, a, b, up):
             d = _combine_delta(vol, up.vol, a.vol, b.vol, w)
             if d > DELTA_TOL:
-                heapq.heappush(heap, (-d, low[a], low[b], 1, next(tick),
+                heapq.heappush(heap, (-d, low[a], low[b], 1, next(pushes),
                                       a, b, stamp[a], stamp[b], w))
 
     def score_children(node: TreeNode) -> None:
@@ -340,37 +383,10 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
         if len(up.children) < 3 or not fits(kind, a, b, up):
             continue
         ppath = shape.path(up)
-        trace.append(TraceStep("merge" if kind == 0 else "combine",
-                               ppath + (up.children.index(a),),
+        trace.append(TraceStep(_STEP_KINDS[kind], ppath + (up.children.index(a),),
                                ppath + (up.children.index(b),), -neg_d))
-        new = _merged_node(a, b, w) if kind == 0 else _combined_node(a, b, w)
-        _replace_pair(up, a, b, new)
-
-        between = rows[a].pop(b)
-        del rows[b][a]
-        row: dict[TreeNode, list[int]] = {}
-        for side in (a, b):
-            for x, pair in rows.pop(side).items():
-                del rows[x][side]
-                prev = row.get(x)
-                row[x] = pair if prev is None else sorted(prev + pair)
-        for x, pair in row.items():
-            rows[x][new] = pair
-        rows[new] = row
-        shape.attach(new, up)
-        if kind == 0:
-            for side in (a, b):
-                if side.is_leaf:
-                    rows[side] = {}
-                else:
-                    shape.detach(side)
-                    del stamp[side]
-            shape.split(between, new)
-        else:
-            rows[a], rows[b] = {b: between}, {a: between}
-        for node in (new, up, *new.children):
-            stamp[node] = next(tick)
-        for x in row:
+        new = shape.pair(kind, a, b, w)
+        for x in rows[new]:
             score(new, x)
         score_children(new)
         for y in rows[up]:
@@ -380,14 +396,8 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
 def _flatten_delta(vol: float, parent: TreeNode, node: TreeNode) -> float:
     # Promoting the node's children to its parent undoes the node's share:
     # always <= 0, with magnitude 2*(internal cross weight)*log2(Vp/Vn)/vol.
-    internal = sum(c.cut for c in node.children) - node.cut
+    internal = left_sum(c.cut for c in node.children) - node.cut
     return internal / vol * math.log2(node.vol / parent.vol)
-
-
-def _flatten(parent: TreeNode, node: TreeNode) -> None:
-    parent.children = [c for c in parent.children if c is not node]
-    parent.children.extend(node.children)
-    parent.children.sort(key=TreeNode.min_vertex)
 
 
 def _compress_phase(g: Graph, shape: _Shape, k: int,
@@ -397,21 +407,18 @@ def _compress_phase(g: Graph, shape: _Shape, k: int,
     # tie-break: nodes sharing a min vertex lie on one first-child chain,
     # where the shorter path is the larger marker.  A node's delta reads its
     # parent's volume and its children's cuts, so a flatten re-scores the
-    # parent and the promoted children only; depth + height never grows, so
-    # an entry no longer over-deep is dropped for good.
+    # parent and the promoted children only, whose stamps it renewed;
+    # depth + height never grows, so an entry no longer over-deep is
+    # dropped for good.
     vol = g.volume
-    parent, height, rows = shape.parent, shape.height, shape.rows
-    tick = itertools.count()
-    stamp: dict[TreeNode, int] = {}
+    parent, height, stamp = shape.parent, shape.height, shape.stamp
     heap: list[tuple] = []
 
     def score(node: TreeNode) -> None:
-        stamp.pop(node, None)
         if node.is_leaf or node not in parent or shape.depth(node) + height[node] <= k:
             return
-        s = stamp[node] = next(tick)
         d = _flatten_delta(vol, parent[node], node)
-        heapq.heappush(heap, (-d, shape.low[node], -len(node.vertices), s, node))
+        heapq.heappush(heap, (-d, shape.low[node], -len(node.vertices), stamp[node], node))
 
     for node in height:
         score(node)
@@ -421,16 +428,8 @@ def _compress_phase(g: Graph, shape: _Shape, k: int,
             continue
         up = parent[node]
         path = shape.path(node)
-        _flatten(up, node)
         trace.append(TraceStep("flatten", path, path[:-1], -neg_d))
-        del stamp[node]
-        shape.detach(node)
-        for c in node.children:
-            parent[c] = up
-        for x, pair in rows.pop(node).items():
-            del rows[x][node]
-            shape.split(pair, up)
-        shape.settle(up)
+        shape.flatten(node)
         score(up)
         for c in node.children:
             score(c)
@@ -472,13 +471,14 @@ def parse_trace(text: str) -> tuple[TraceStep, ...]:
 def replay_trace(g: Graph, trace) -> EncodingTree:
     """Re-apply trace steps from the star tree, checking every logged delta.
 
-    Merge and combine use the optimizer's own node operations; a flatten
-    promotes the node's children to its parent.  After each step every
-    statistic is recomputed from the graph, and the step's delta must equal
-    the drop in `structural_entropy` to within REPLAY_TOL.  Raises
-    InvariantViolation at the first step that does not apply or disagrees.
+    Every step goes through the optimizer's own operators (`_Shape.pair`
+    and `_Shape.flatten`).  After each step every statistic is recomputed
+    from the graph, and the step's delta must equal the drop in
+    `structural_entropy` to within REPLAY_TOL.  Raises InvariantViolation at
+    the first step that does not apply or disagrees.
     """
-    t = star_tree(g)
+    shape = _Shape(g)
+    t = shape.tree
     h = structural_entropy(g, t)
     for i, step in enumerate(trace):
         where = f"trace step {i} ({step.kind} {format_path(step.a)} {format_path(step.b)})"
@@ -490,7 +490,7 @@ def replay_trace(g: Graph, trace) -> EncodingTree:
             node = t.node_at(step.a)
             if node.is_leaf:
                 raise InvariantViolation(f"{where}: cannot flatten a leaf")
-            _flatten(t.node_at(step.b), node)
+            shape.flatten(node)
         else:
             if step.a[:-1] != step.b[:-1] or step.a == step.b:
                 raise InvariantViolation(f"{where}: operands are not two distinct siblings")
@@ -498,9 +498,7 @@ def replay_trace(g: Graph, trace) -> EncodingTree:
             if len(parent.children) < 3:
                 raise InvariantViolation(f"{where}: would leave the parent with a single child")
             a, b = t.node_at(step.a), t.node_at(step.b)
-            w = cross_weight(g, a.vertices, b.vertices)
-            new = _merged_node(a, b, w) if step.kind == "merge" else _combined_node(a, b, w)
-            _replace_pair(parent, a, b, new)
+            shape.pair(_STEP_KINDS.index(step.kind), a, b, cross_weight(g, a.vertices, b.vertices))
         refresh_stats(g, t)
         h_after = structural_entropy(g, t, check=False)
         if not abs((h - h_after) - step.delta) <= REPLAY_TOL:

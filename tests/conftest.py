@@ -1,3 +1,5 @@
+import builtins
+import math
 import random
 
 import numpy as np
@@ -5,6 +7,64 @@ import pytest
 
 import structen as st
 from structen.tree import EncodingTree, TreeNode
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def neumaier_sum(iterable, /, start=0):
+    """A pure-Python port of the builtin `sum` of CPython 3.12, whose float
+    path compensates rounding (Neumaier's improved Kahan-Babuska sum,
+    gh-100425) where 3.11 folds left to right.  It follows the C code's
+    int, float and generic paths as read, not as run."""
+    if isinstance(start, (str, bytes, bytearray)):
+        return _BUILTIN_SUM(iterable, start)  # the builtin's TypeError
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) is int or type(item) is bool:
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    c += (total - t) + item
+                else:
+                    c += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int) and -2 ** 63 <= item < 2 ** 63:  # a C long
+                total += float(item)
+                continue
+            if c and math.isfinite(c):
+                total += c
+            result = total + item
+            break
+        else:
+            if c and math.isfinite(c):
+                total += c
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+@pytest.fixture
+def py312_sum(monkeypatch):
+    """Run the test with `builtins.sum` swapped for `neumaier_sum`, the
+    float `sum` of CPython 3.12 and later.
+
+    The port's fidelity to 3.12 cannot be checked without a 3.12
+    interpreter, which is why CI also runs the suite on 3.12."""
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
 
 
 @pytest.fixture

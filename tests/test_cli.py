@@ -302,6 +302,19 @@ class TestInsertCommand:
         assert code == 0
         assert out.splitlines()[0] == "abstraction root"
 
+    @pytest.mark.parametrize("point_id, member", [("y", "y"), (42, "42")])
+    def test_string_or_integer_id(self, files, capsys, point_id, member):
+        run(capsys, "build", "--similarity", files / "blocks.csv",
+            "--height", 2, "--features", files / "blockfeat.json",
+            "--space-out", files / "space.json")
+        point = files / "named.json"
+        point.write_text(json.dumps({"id": point_id, "sims": {"s0": 0.4}}),
+                         encoding="utf-8")
+        code, out, _ = run(capsys, "insert", "--space", files / "space.json",
+                           "--point", point)
+        assert code == 0
+        assert member in out.splitlines()[2].split()[1:]
+
     def test_all_zero_sims_exit_2(self, files, capsys):
         run(capsys, "build", "--similarity", files / "blocks.csv",
             "--height", 2, "--features", files / "blockfeat.json",
@@ -354,6 +367,8 @@ BAD_INSERT_INPUTS = [
       for value in ("0.5", None)],
     *[("point", (key,), value, 1, f"{key!r} must be a list of tokens")
       for key in ("syntax", "semantics") for value in (5, "abc")],
+    *[("point", ("id",), value, 1, "'id' must be a string or an integer")
+      for value in (None, True, 1.5, [1, 2], {"x": 1})],
     *[("space", ("abstraction_source",), value, 1, "'abstraction_source' must be a string")
       for value in (["syntax"], None, 5)],
     # numbers of the right type but out of range stay invariant violations

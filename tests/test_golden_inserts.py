@@ -17,7 +17,8 @@ similarities, and past a weight of 1e-300, which changes no sum.
 
 `PYTHONPATH=src python tests/test_golden_inserts.py` prints the table from
 the code as it stands.  Re-record it only for a change that is meant to
-alter the output.  The table was recorded on CPython 3.11.
+alter the output.  Every float sum behind it is a left fold, so it does
+not depend on the interpreter's builtin `sum`.
 """
 
 import hashlib

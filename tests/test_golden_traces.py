@@ -10,8 +10,8 @@ caps 2, 3 and 4 so that polish steps below the root are covered.
 
 `PYTHONPATH=src python tests/test_golden_traces.py` prints the table from
 the code as it stands.  Re-record it only for a change that is meant to
-alter the output.  The table was recorded on CPython 3.11; from 3.12 on,
-`sum()` of floats rounds differently, which can move the last bit.
+alter the output.  Every float sum behind it is a left fold, so it does
+not depend on the interpreter's builtin `sum`.
 """
 
 import hashlib

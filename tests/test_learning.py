@@ -496,6 +496,11 @@ class TestClassifyByAbstraction:
         sets = [("Y1", ("g1", "g2")), ("Y2", ("g3",))]
         assert st.classify_by_abstraction(sets, {"g3": 2.0}) == "Y2"
 
+    def test_string_token_set_rejected(self):
+        # "ab" would otherwise be read as the tokens "a" and "b"
+        with pytest.raises(InvariantViolation, match="label 'x' is a string"):
+            st.classify_by_abstraction([("x", "ab")], {"a": 1.0})
+
     def test_empty_set_rejected(self):
         with pytest.raises(InvariantViolation, match="empty abstraction set"):
             st.classify_by_abstraction([("A", ())], {"x": 1.0})
@@ -508,6 +513,7 @@ class TestClassifyByAbstraction:
         {"x": "high", "y": 0.1},
         {"x": 10 ** 400, "y": 0.1},          # an integer beyond the float range
         {"x": None, "y": 0.1},
+        {"x": True, "y": 0.1},               # would count as 1.0
     ])
     def test_non_finite_sample_value_rejected(self, sample):
         sets = [("a", ("x",)), ("b", ("y",))]

@@ -214,7 +214,46 @@ class TestChildOrder:
                 assert_children_ordered(st.replay_trace(g, res.trace))
 
 
+REPLAY_ONLY_STEPS = {
+    # steps the greedy never takes, on the barbell, each with the tree it leaves
+    "merge of unlinked leaves": [
+        ("merge", (0,), (4,), [[0, 4], 1, 2, 3, 5]),
+        ("merge", (0,), (1,), [[0, 1, 4], 2, 3, 5]),
+        ("flatten", (0,), (), [0, 1, 2, 3, 4, 5]),
+    ],
+    "combine of leaves": [
+        ("combine", (0,), (5,), [[0, 5], 1, 2, 3, 4]),
+        ("combine", (1,), (2,), [[0, 5], [1, 2], 3, 4]),
+        ("merge", (0,), (1,), [[0, 1, 2, 5], 3, 4]),
+    ],
+    "flatten after combine": [
+        ("merge", (0,), (1,), [[0, 1], 2, 3, 4, 5]),
+        ("combine", (0,), (1,), [[[0, 1], 2], 3, 4, 5]),
+        ("flatten", (0,), (), [[0, 1], 2, 3, 4, 5]),
+    ],
+    "reversed operands": [
+        ("merge", (5,), (4,), [0, 1, 2, 3, [4, 5]]),
+        ("combine", (4,), (3,), [0, 1, 2, [3, [4, 5]]]),
+        ("merge", (1,), (0,), [[0, 1], 2, [3, [4, 5]]]),
+    ],
+}
+
+
 class TestTraceContract:
+    @pytest.mark.parametrize("steps", REPLAY_ONLY_STEPS.values(), ids=REPLAY_ONLY_STEPS.keys())
+    def test_replay_applies_steps_the_greedy_never_takes(self, barbell, steps):
+        # each delta is the drop in structural_entropy between build_tree specs
+        trace, h = [], st.structural_entropy(barbell, st.star_tree(barbell))
+        for kind, a, b, spec in steps:
+            want = st.build_tree(barbell, spec)
+            h_after = st.structural_entropy(barbell, want)
+            trace.append(st.TraceStep(kind, a, b, h - h_after))
+            h = h_after
+            t = st.replay_trace(barbell, trace)
+            assert t == want
+            assert st.validate(barbell, t) is None
+            assert_children_ordered(t)
+
     def test_deltas_match_global_recomputation(self):
         # replay_trace recomputes every statistic after each step and raises
         # unless the logged delta is the entropy drop to within 1e-9
