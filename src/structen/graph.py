@@ -48,24 +48,6 @@ def real_weight(w, what: str) -> float:
         return math.inf
 
 
-def _checked_edge(index: dict[str, int], u_id, v_id, w) -> tuple[int, int, float]:
-    """One edge as `(u index, v index, float weight)`, after the checks
-    every edge must pass: both endpoints are vertices, no self-loop, and a
-    positive finite real weight."""
-    u_id, v_id = str(u_id), str(v_id)
-    if u_id not in index or v_id not in index:
-        missing = u_id if u_id not in index else v_id
-        raise InvariantViolation(f"edge endpoint {missing!r} is not a vertex")
-    w = real_weight(w, f"weight on edge {u_id!r}-{v_id!r}")
-    if u_id == v_id:
-        raise InvariantViolation(f"self-loop at vertex {u_id!r}")
-    if not w > 0:
-        raise InvariantViolation(f"non-positive weight on edge {u_id!r}-{v_id!r}")
-    if w == math.inf:
-        raise InvariantViolation(f"non-finite weight on edge {u_id!r}-{v_id!r}")
-    return index[u_id], index[v_id], w
-
-
 def _checked_volume(degree: Sequence[float], edges, connected: bool) -> float:
     """Volume of a graph with these degrees and edges, after the checks on
     its totals: a finite volume, connectivity, and a volume equal to twice
@@ -81,15 +63,34 @@ def _checked_volume(degree: Sequence[float], edges, connected: bool) -> float:
     return volume
 
 
-def _connected(adj: Sequence[dict[int, float]]) -> bool:
-    seen = {0}
-    queue = [0]
-    for u in queue:  # breadth first: the loop reads what it appends
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(adj)
+def _file_edges(index: dict[str, int], edges, degree: list[float]) -> list[tuple[int, int, float]]:
+    """`(u id, v id, w)` edges as `(min index, max index, w)`, in order,
+    after the checks every edge must pass: both endpoints are vertices, no
+    self-loop, a positive finite real weight, and no repeat within `edges`.
+    Each weight is added to both endpoints' `degree`, a running left fold."""
+    out: list[tuple[int, int, float]] = []
+    seen: set[tuple[int, int]] = set()
+    for u_id, v_id, w in edges:
+        u_id, v_id = str(u_id), str(v_id)
+        if u_id not in index or v_id not in index:
+            missing = u_id if u_id not in index else v_id
+            raise InvariantViolation(f"edge endpoint {missing!r} is not a vertex")
+        w = real_weight(w, f"weight on edge {u_id!r}-{v_id!r}")
+        if u_id == v_id:
+            raise InvariantViolation(f"self-loop at vertex {u_id!r}")
+        if not w > 0:
+            raise InvariantViolation(f"non-positive weight on edge {u_id!r}-{v_id!r}")
+        if w == math.inf:
+            raise InvariantViolation(f"non-finite weight on edge {u_id!r}-{v_id!r}")
+        u, v = index[u_id], index[v_id]
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise InvariantViolation(f"duplicate edge {u_id!r}-{v_id!r}")
+        seen.add(key)
+        degree[u] += w
+        degree[v] += w
+        out.append((*key, w))
+    return out
 
 
 class Graph:
@@ -113,21 +114,15 @@ class Graph:
         self.vertex_ids = ids
         self.index = {v: i for i, v in enumerate(ids)}
 
-        adj: list[dict[int, float]] = [dict() for _ in ids]
-        edge_list: list[tuple[int, int, float]] = []
-        for u_id, v_id, w in edges:
-            u, v, w = _checked_edge(self.index, u_id, v_id, w)
-            if v in adj[u]:
-                raise InvariantViolation(f"duplicate edge {ids[u]!r}-{ids[v]!r}")
-            adj[u][v] = w
-            adj[v][u] = w
-            edge_list.append((min(u, v), max(u, v), w))
+        degree = [0.0] * len(ids)
+        edge_list = _file_edges(self.index, edges, degree)
         if not edge_list:
             raise InvariantViolation("a graph needs at least one edge")
 
         self.edges = tuple(edge_list)
-        self.degree = tuple(left_sum(nbrs.values()) for nbrs in adj)
-        self.volume = _checked_volume(self.degree, self.edges, connected=_connected(adj))
+        self.degree = tuple(degree)
+        connected = smallest_connected(len(ids), ((w, u, v) for u, v, w in edge_list)) is not None
+        self.volume = _checked_volume(self.degree, self.edges, connected)
 
     def with_vertex(self, vid, edges: Iterable[tuple[str, float]]) -> "Graph":
         """This graph plus vertex `vid`, joined by a `(neighbour id, weight)`
@@ -142,35 +137,36 @@ class Graph:
         vid = str(vid)
         if vid in self.index:
             raise InvariantViolation("duplicate vertex identifier")
-        x = self.n
-        index = {**self.index, vid: x}
-        adj_x: dict[int, float] = {}
-        for u_id, w in edges:
-            u, _, w = _checked_edge(index, u_id, vid, w)
-            if u in adj_x:
-                raise InvariantViolation(f"duplicate edge {self.vertex_ids[u]!r}-{vid!r}")
-            adj_x[u] = w
-        degree = list(self.degree)
-        for u, w in adj_x.items():  # x is each old vertex's last neighbour
-            degree[u] += w
-        degree.append(left_sum(adj_x.values()))
+        ids = self.vertex_ids + (vid,)
+        index = {**self.index, vid: self.n}
+        degree = [*self.degree, 0.0]
+        new_edges = _file_edges(index, ((u_id, vid, w) for u_id, w in edges), degree)
 
         out = Graph.__new__(Graph)
-        out.vertex_ids = self.vertex_ids + (vid,)
+        out.vertex_ids = ids
         out.index = index
-        out.edges = self.edges + tuple((u, x, w) for u, w in adj_x.items())
+        out.edges = self.edges + tuple(new_edges)
         out.degree = tuple(degree)
-        out.volume = _checked_volume(out.degree, out.edges, connected=bool(adj_x))
+        out.volume = _checked_volume(out.degree, out.edges, connected=bool(new_edges))
         return out
 
     @classmethod
     def from_index_edges(cls, n: int, edges: Iterable[tuple[int, int, float]],
                          ids: Sequence[str] | None = None) -> "Graph":
-        """Build from integer-indexed edges; ids default to "0".."n-1"."""
+        """Build from integer-indexed edges; ids default to "0".."n-1".
+        Every endpoint must be an integer in range(n), not a bool."""
         ids = tuple(ids) if ids is not None else tuple(str(i) for i in range(n))
         if len(ids) != n:
             raise InvariantViolation(f"expected {n} vertex ids, got {len(ids)}")
-        return cls(ids, [(ids[u], ids[v], w) for u, v, w in edges])
+
+        def vertex_id(x) -> str:
+            # the exact int test first: an isinstance check against an ABC is slow
+            integer = type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+            if not (integer and 0 <= x < n):
+                raise InvariantViolation(f"edge endpoint {x!r} is not a vertex index in range({n})")
+            return ids[x]
+
+        return cls(ids, [(vertex_id(u), vertex_id(v), w) for u, v, w in edges])
 
     @property
     def n(self) -> int:

@@ -86,30 +86,27 @@ def cached_entropy(t: EncodingTree, vol: float) -> float:
     return _tree_sum(t, vol, lambda c: c.cut)
 
 
-def structural_entropy(g: Graph, t: EncodingTree, check: bool = True) -> float:
+def structural_entropy(g: Graph, t: EncodingTree) -> float:
     """Uncertainty left in the graph under the tree's encoding (cut weighting)."""
-    if check:
-        check_valid(g, t)
+    check_valid(g, t)
     return cached_entropy(t, g.volume)
 
 
-def compressing_info(g: Graph, t: EncodingTree, check: bool = True) -> float:
+def compressing_info(g: Graph, t: EncodingTree) -> float:
     """Uncertainty eliminated by the tree: weights V_a - g_a instead of g_a."""
-    if check:
-        check_valid(g, t)
+    check_valid(g, t)
     return _tree_sum(t, g.volume, lambda c: c.vol - c.cut)
 
 
-def module_entropy(g: Graph, t: EncodingTree, f: ModuleFunction, check: bool = True) -> float:
+def module_entropy(g: Graph, t: EncodingTree, f: ModuleFunction) -> float:
     """Generalized tree entropy with an arbitrary marker weighting."""
-    if check:
-        check_valid(g, t)
+    check_valid(g, t)
     return _tree_sum(t, g.volume, lambda c: f(g, c.vertices))
 
 
-def decoding_info(g: Graph, t: EncodingTree, check: bool = True) -> float:
+def decoding_info(g: Graph, t: EncodingTree) -> float:
     """Information gained from the graph by the tree: H1 minus tree entropy."""
-    return one_dim_entropy(g) - structural_entropy(g, t, check=check)
+    return one_dim_entropy(g) - structural_entropy(g, t)
 
 
 def distribution_entropy(p: Sequence[float], t: EncodingTree) -> float:
@@ -150,12 +147,11 @@ def _path_nodes(t: EncodingTree) -> dict[int, list[TreeNode]]:
     return out
 
 
-def _edgewise_sum(g: Graph, t: EncodingTree, below_branch: bool, check: bool) -> float:
+def _edgewise_sum(g: Graph, t: EncodingTree, below_branch: bool) -> float:
     # Each undirected edge contributes in both directions, weighted by its
     # weight: the codeword-path cost from just below the branch point down to
     # the arrival leaf, or the cost of the shared prefix above it.
-    if check:
-        check_valid(g, t)
+    check_valid(g, t)
     chains = _path_nodes(t)
     acc = 0.0
     for u, v, w in g.edges:
@@ -169,14 +165,14 @@ def _edgewise_sum(g: Graph, t: EncodingTree, below_branch: bool, check: bool) ->
     return acc / g.volume
 
 
-def structural_entropy_edgewise(g: Graph, t: EncodingTree, check: bool = True) -> float:
+def structural_entropy_edgewise(g: Graph, t: EncodingTree) -> float:
     """Oracle for structural_entropy via per-edge codeword walks below the branch point."""
-    return _edgewise_sum(g, t, True, check)
+    return _edgewise_sum(g, t, True)
 
 
-def compressing_info_edgewise(g: Graph, t: EncodingTree, check: bool = True) -> float:
+def compressing_info_edgewise(g: Graph, t: EncodingTree) -> float:
     """Oracle for compressing_info: per-edge shared-prefix (mutual) information."""
-    return _edgewise_sum(g, t, False, check)
+    return _edgewise_sum(g, t, False)
 
 
 @dataclass(frozen=True)
@@ -199,10 +195,9 @@ class InfoReport:
 
 
 def info_report(g: Graph, t: EncodingTree) -> InfoReport:
-    check_valid(g, t)
+    compress = compressing_info(g, t)  # the one check of the tree
     h1 = one_dim_entropy(g)
-    h_t = structural_entropy(g, t, check=False)
-    compress = compressing_info(g, t, check=False)
+    h_t = cached_entropy(t, g.volume)
     decode = h1 - h_t
     if abs(compress - decode) > IDENTITY_TOL or abs(h1 - (h_t + compress)) > IDENTITY_TOL:
         raise InvariantViolation("compress/decode identity out of tolerance")

@@ -32,8 +32,9 @@ the new node with its siblings, the pairs under a fused node (their parent
 volume changed), and the parent with its own siblings (its children
 changed).  A flatten re-scores the parent and the promoted children.
 Every candidate is scored by the same float expressions on the same
-operands as a full rescan would use, and a pair's weight is summed over
-its edges in `g.edges` order, so each step picks the same move with the
+operands as a full rescan would use.  A pair's weight comes from its row
+alone, folded over its edges in `g.edges` order, both when it is scored
+and when `pair` applies it, so each step picks the same move with the
 same delta: traces, trees and entropies are identical to the exhaustive
 search, bit for bit.
 """
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
 from .graph import Graph, left_sum, one_dim_entropy
-from .metrics import structural_entropy
+from .metrics import cached_entropy, structural_entropy
 from .tree import (EncodingTree, TreeNode, build_tree, format_path, parse_path,
                    refresh_stats, star_tree)
 
@@ -215,19 +216,20 @@ class _Shape:
             node = up
         return tuple(reversed(out))
 
-    def pair(self, kind: int, a: TreeNode, b: TreeNode, w: float) -> TreeNode:
-        """Merge (kind 0) or combine (kind 1) siblings a and b, whose edges
-        between them weigh w; the new node takes the earlier operand's slot
-        and is returned."""
+    def pair(self, kind: int, a: TreeNode, b: TreeNode) -> TreeNode:
+        """Merge (kind 0) or combine (kind 1) siblings a and b; the new node
+        takes the earlier operand's slot and is returned.  The weight between
+        a and b is folded over their row in edge order, as `score` folds it."""
         rows, up = self.rows, self.parent[a]
+        between = rows[a].pop(b, [])  # no edges: only a replayed step, never the greedy
+        rows[b].pop(a, None)
+        w = left_sum(self.edges[i][2] for i in between)
         children = [a, b] if kind else [*(a.children or [a]), *(b.children or [b])]
         children.sort(key=self.low.__getitem__)
         new = TreeNode(a.vertices | b.vertices, a.vol + b.vol, a.cut + b.cut - 2.0 * w, children)
         i, j = up.children.index(a), up.children.index(b)
         up.children[min(i, j)] = new
         del up.children[max(i, j)]
-        between = rows[a].pop(b, [])  # no edges: only a replayed step, never the greedy
-        rows[b].pop(a, None)
         row: dict[TreeNode, list[int]] = {}
         for side in (a, b):
             for x, ids in rows.pop(side).items():
@@ -349,13 +351,13 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
                 d = _general_merge_delta(vol, up, a, b, w)
             if d > DELTA_TOL:
                 heapq.heappush(heap, (-d, low[a], low[b], 0, next(pushes),
-                                      a, b, stamp[a], stamp[b], w))
+                                      a, b, stamp[a], stamp[b]))
         # A leaf-leaf combine builds the very tree the merge builds; skip it.
         if not (a.is_leaf and b.is_leaf) and fits(1, a, b, up):
             d = _combine_delta(vol, up.vol, a.vol, b.vol, w)
             if d > DELTA_TOL:
                 heapq.heappush(heap, (-d, low[a], low[b], 1, next(pushes),
-                                      a, b, stamp[a], stamp[b], w))
+                                      a, b, stamp[a], stamp[b]))
 
     def score_children(node: TreeNode) -> None:
         for c in node.children:
@@ -378,14 +380,14 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
         entry = heapq.heappop(heap)
         if not live(entry):
             continue
-        neg_d, _, _, kind, _, a, b, _, _, w = entry
+        neg_d, _, _, kind, _, a, b, _, _ = entry
         up = parent[a]
         if len(up.children) < 3 or not fits(kind, a, b, up):
             continue
         ppath = shape.path(up)
         trace.append(TraceStep(_STEP_KINDS[kind], ppath + (up.children.index(a),),
                                ppath + (up.children.index(b),), -neg_d))
-        new = shape.pair(kind, a, b, w)
+        new = shape.pair(kind, a, b)
         for x in rows[new]:
             score(new, x)
         score_children(new)
@@ -497,10 +499,9 @@ def replay_trace(g: Graph, trace) -> EncodingTree:
             parent = t.node_at(step.a[:-1])
             if len(parent.children) < 3:
                 raise InvariantViolation(f"{where}: would leave the parent with a single child")
-            a, b = t.node_at(step.a), t.node_at(step.b)
-            shape.pair(_STEP_KINDS.index(step.kind), a, b, cross_weight(g, a.vertices, b.vertices))
+            shape.pair(_STEP_KINDS.index(step.kind), t.node_at(step.a), t.node_at(step.b))
         refresh_stats(g, t)
-        h_after = structural_entropy(g, t, check=False)
+        h_after = cached_entropy(t, g.volume)
         if not abs((h - h_after) - step.delta) <= REPLAY_TOL:
             raise InvariantViolation(f"{where}: logged delta {step.delta!r}, "
                                      f"but the entropy dropped by {h - h_after!r}")

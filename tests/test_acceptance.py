@@ -56,7 +56,7 @@ def test_criterion_1_compressing_identity():
         for g, t in _identity_suite():
             h1 = st.one_dim_entropy(g)
             h_t = st.structural_entropy(g, t)
-            c = st.compressing_info(g, t, check=False)
+            c = st.compressing_info(g, t)
             worst = max(worst, abs(c + h_t - h1))
         elapsed = time.monotonic() - start
         assert worst < 1e-9, worst
@@ -70,10 +70,10 @@ def test_criterion_2_edgewise_oracle_equivalence():
         for g, t in _identity_suite():
             worst = max(
                 worst,
-                abs(st.structural_entropy(g, t, check=False)
-                    - st.structural_entropy_edgewise(g, t, check=False)),
-                abs(st.compressing_info(g, t, check=False)
-                    - st.compressing_info_edgewise(g, t, check=False)))
+                abs(st.structural_entropy(g, t)
+                    - st.structural_entropy_edgewise(g, t)),
+                abs(st.compressing_info(g, t)
+                    - st.compressing_info_edgewise(g, t)))
         assert worst < 1e-9, worst
         print(f"  [worst oracle deviation {worst:.3e}]")
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ class TestLoadGraph:
         text = "a b 1\nb c 1\na c 1\nx y 1\ny z 1\nx z 1\n"
         with pytest.raises(InvariantViolation, match="disconnected"):
             st.load_graph(write(tmp_path, text))
+        for n, edges in [(4, [(1, 2, 1.0), (2, 3, 1.0)]),              # isolated first vertex
+                         (4, [(0, 1, 1.0), (1, 2, 1.0)]),              # isolated last vertex
+                         (6, [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)]),  # three components
+                         ]:
+            with pytest.raises(InvariantViolation, match="disconnected"):
+                st.Graph.from_index_edges(n, edges)
+        # only the last listed edge joins the two halves
+        g = st.Graph.from_index_edges(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)])
+        assert g.edges[-1] == (1, 2, 1.0)
 
     def test_duplicate_edge(self, tmp_path):
         with pytest.raises(InvariantViolation, match="duplicate"):
@@ -65,6 +75,17 @@ class TestLoadGraph:
     def test_first_appearance_order(self, tmp_path):
         g = st.load_graph(write(tmp_path, "z y 1\ny a 1\n"))
         assert g.vertex_ids == ("z", "y", "a")
+
+    @pytest.mark.parametrize("endpoint", [-1, 3, 1.5, 1.0, "0", True, None])
+    def test_index_endpoint_must_be_a_vertex_index(self, endpoint):
+        for edge in [(0, endpoint, 1.0), (endpoint, 2, 1.0)]:
+            with pytest.raises(InvariantViolation,
+                               match=rf"edge endpoint {re.escape(repr(endpoint))} is not"):
+                st.Graph.from_index_edges(3, [edge, (1, 2, 1.0), (0, 1, 1.0)])
+
+    def test_numpy_integer_endpoints(self):
+        g = st.Graph.from_index_edges(3, [(np.int64(0), np.int32(2), 1.0), (1, np.int64(2), 2.0)])
+        assert g.edges == ((0, 2, 1.0), (1, 2, 2.0))
 
 
 class TestCutAndConductance:
@@ -218,6 +239,21 @@ BAD_NEW_VERTEX = [
 
 
 class TestWithVertex:
+    def test_degrees_are_left_folds_in_edge_order(self):
+        # the shared edge loop must keep each degree a left fold of its
+        # vertex's edge weights in `edges` order, from 0.0
+        rng = random.Random(44)
+        for _ in range(200):
+            base = random_connected_graph(rng, 2, 12)
+            g = st.Graph.from_index_edges(
+                base.n, [(u, v, rng.uniform(0.01, 3.0)) for u, v, _ in base.edges])
+            grown = g.with_vertex("x", [(u, rng.uniform(0.01, 3.0))
+                                        for u in rng.sample(g.vertex_ids, rng.randint(1, g.n))])
+            for h in (g, grown):
+                for v in range(h.n):
+                    assert h.degree[v] == left_sum(w for a, b, w in h.edges if v in (a, b))
+                assert h.volume == left_sum(h.degree)
+
     def test_matches_a_rebuild_bit_for_bit(self):
         rng = random.Random(43)
         for _ in range(200):

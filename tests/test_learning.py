@@ -401,7 +401,7 @@ class TestInsertPoint:
                 module = module["children"][i]
             module["children"].append({"vertex": "x"})
             tk = st.deserialize(gk, doc)
-            return st.one_dim_entropy(gk) - st.structural_entropy(gk, tk, check=False)
+            return st.one_dim_entropy(gk) - st.structural_entropy(gk, tk)
 
         assert placed_decodability(report.chosen_k) >= placed_decodability(1) - 1e-9
 

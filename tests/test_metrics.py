@@ -54,16 +54,16 @@ class TestEdgewiseOracles:
         for _ in range(200):
             g = random_connected_graph(rng, 4, 14)
             t = random_encoding_tree(g, rng)
-            assert st.structural_entropy(g, t, check=False) == pytest.approx(
-                st.structural_entropy_edgewise(g, t, check=False), abs=1e-9)
+            assert st.structural_entropy(g, t) == pytest.approx(
+                st.structural_entropy_edgewise(g, t), abs=1e-9)
 
     def test_compressing_agreement(self):
         rng = random.Random(12)
         for _ in range(200):
             g = random_connected_graph(rng, 4, 14)
             t = random_encoding_tree(g, rng)
-            assert st.compressing_info(g, t, check=False) == pytest.approx(
-                st.compressing_info_edgewise(g, t, check=False), abs=1e-9)
+            assert st.compressing_info(g, t) == pytest.approx(
+                st.compressing_info_edgewise(g, t), abs=1e-9)
 
     def test_triangle_star_is_degree_entropy(self, triangle):
         t = st.star_tree(triangle)
@@ -164,7 +164,7 @@ class TestCompressingInfo:
         for _ in range(50):
             g = random_connected_graph(rng)
             t = random_encoding_tree(g, rng)
-            assert st.compressing_info(g, t, check=False) >= -1e-12
+            assert st.compressing_info(g, t) >= -1e-12
 
 
 class TestDecodingInfo:
@@ -175,8 +175,8 @@ class TestDecodingInfo:
         for _ in range(50):
             g = random_connected_graph(rng)
             tr = random_encoding_tree(g, rng)
-            assert st.decoding_info(g, tr, check=False) == pytest.approx(
-                st.compressing_info(g, tr, check=False), abs=1e-9)
+            assert st.decoding_info(g, tr) == pytest.approx(
+                st.compressing_info(g, tr), abs=1e-9)
 
     def test_star_is_zero(self, k4):
         assert st.decoding_info(k4, st.star_tree(k4)) == pytest.approx(0.0, abs=1e-12)
@@ -188,7 +188,7 @@ class TestDecodingInfo:
             t = random_encoding_tree(g, rng)
             phi, _ = st.conductance_exact(g)
             h1 = st.one_dim_entropy(g)
-            assert st.decoding_info(g, t, check=False) <= (1 - phi) * h1 + phi + 1e-9
+            assert st.decoding_info(g, t) <= (1 - phi) * h1 + phi + 1e-9
 
 
 class TestInfoReport:
