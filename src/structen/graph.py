@@ -13,10 +13,10 @@ import math
 import numbers
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
+if TYPE_CHECKING:  # numpy loads only where a similarity matrix is read
+    import numpy as np
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
 
 # dense vertex indices; frozenset keeps subsets hashable and immutable
@@ -313,6 +313,7 @@ def one_dim_entropy(g: Graph) -> float:
 
 
 def _check_similarity(sim) -> np.ndarray:
+    import numpy as np
     try:
         a = np.asarray(sim, dtype=float)
     except OverflowError:  # an integer beyond the float range
@@ -348,7 +349,7 @@ def build_topk_graph(sim, k: int, ids: Sequence[str] | None = None) -> Graph:
     disconnected (k too small).
     """
     pairs = positive_pairs(sim)
-    n = np.asarray(sim).shape[0]
+    n = len(sim)
     if not 1 <= k <= len(pairs):
         raise InvariantViolation(f"k={k} but only {len(pairs)} positive pairs are available")
     k_min = smallest_connected(n, pairs)
@@ -384,6 +385,7 @@ def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     The diagonal is ignored (zeroed).  Non-finite cells, asymmetry, negative
     entries and shape problems are parse errors.
     """
+    import numpy as np
     rows = list(csv.reader(io.StringIO(read_text(path, newline=""), newline="")))
     if len(rows) < 3:
         raise GraphParseError(f"{path}: similarity matrix needs at least 2 samples")

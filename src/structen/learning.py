@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import GraphParseError, InvariantViolation
 from .graph import (Graph, left_sum, one_dim_entropy, positive_pairs, real_weight,
                     shannon_entropy, smallest_connected)
@@ -65,8 +63,8 @@ class FeatureCatalog:
         out[str(vid)] = features
         return FeatureCatalog(out)
 
-    def require_cover(self, g: Graph) -> None:
-        for vid in g.vertex_ids:
+    def require_cover(self, vertex_ids: Iterable[str]) -> None:
+        for vid in vertex_ids:
             if vid not in self._entries:
                 raise InvariantViolation(f"missing catalog entry for vertex {vid!r}")
 
@@ -131,7 +129,7 @@ class AbstractionTree(_FeatureTree):
 def knowledge_tree(g: Graph, t: EncodingTree, catalog: FeatureCatalog,
                    source: str = "all") -> KnowledgeTree:
     """Annotate every tree node with the intersection of member feature sets."""
-    catalog.require_cover(g)
+    catalog.require_cover(g.vertex_ids)
 
     def annotate(node: TreeNode, children) -> FeatureNode:
         if node.is_leaf:
@@ -246,7 +244,7 @@ class DataSpace:
                      abstraction_source: str = "syntax") -> "DataSpace":
         """Space over a given graph and decoder.  A catalog that misses a
         vertex, or an unknown abstraction source, is rejected here."""
-        catalog.require_cover(g)
+        catalog.require_cover(g.vertex_ids)
         FeatureSet().pick(abstraction_source)
         return cls(g, decoder, catalog, construction_k, height, tuple(sweep),
                    abstraction_source)
@@ -267,11 +265,15 @@ def build_data_space(sim, catalog: FeatureCatalog, height: int = 2,
     """Sweep the kept-edge count and keep the graph with maximal decodable info.
 
     The sweep runs from the smallest count giving a connected graph up to
-    every positive pair; ties prefer the smaller count.
+    every positive pair; ties prefer the smaller count.  The catalog and
+    the abstraction source are checked before the sweep, right after the
+    matrix, whose size gives the default ids.
     """
     pairs = positive_pairs(sim)
-    n = np.asarray(sim).shape[0]
-    ids = tuple(ids) if ids is not None else tuple(str(i) for i in range(n))
+    n = len(sim)
+    ids = tuple(map(str, ids)) if ids is not None else tuple(str(i) for i in range(n))
+    catalog.require_cover(ids)
+    FeatureSet().pick(abstraction_source)
 
     k_min = smallest_connected(n, pairs)
     if k_min is None:
@@ -373,14 +375,16 @@ def _best_count(g: Graph, home: EncodingTree, weights) -> int:
     ties keep the smaller k.
 
     One checked `leaf_chains` of home and one pass over g's edges give
-    every node's old-edge cut (x has no old edge); then each count costs
-    O(n + nodes).  H's terms are kept in flat lists, in the order
-    `metrics.cached_entropy` sums them, and a count recomputes only the
-    terms of the nodes on the two changed leaf chains and of their
-    children.  A count's graph lists its new edges after every old one, and
-    every degree, volume, vol and cut is a left fold, so each value here is
-    bit for bit what `Graph` and `refresh_stats` compute on that graph.  The
-    caller has checked the graph with every edge of `weights`.
+    every node's old-edge cut (x has no old edge), and each node's vol and
+    cut are written into home's own nodes.  A count refolds only the nodes
+    on the two changed leaf chains, then sums H with `term_sum` over home's
+    stats in `node_terms` order, as `metrics.cached_entropy` does.  A
+    count's graph lists its new edges after every old one, and every
+    degree, volume, vol and cut is a left fold, so each value here is bit
+    for bit what `Graph` and `refresh_stats` compute on that graph.  Home's
+    stats are left at the last count's; the caller's `refresh_stats`
+    rewrites them.  The caller has checked the graph with every edge of
+    `weights`.
     """
     x = g.n
     nodes, chains = leaf_chains(home, x + 1)
@@ -388,35 +392,20 @@ def _best_count(g: Graph, home: EncodingTree, weights) -> int:
     add_crossing(cuts, chains, g.edges)
     deg = [*g.degree, 0.0]
     degree_of = deg.__getitem__
-    markers = [node.vertices for _, node in nodes]
-    vols = [left_sum(map(degree_of, marker)) for marker in markers]
-    at = {id(node): i for i, (_, node) in enumerate(nodes)}
-    terms = [(at[id(c)], at[id(p)]) for c, p in node_terms(home)]
-    term_of = [None] * len(nodes)  # node -> position of its term; the root has none
-    parent = [None] * len(nodes)
-    kids: list[list[int]] = [[] for _ in nodes]
-    for pos, (i, p) in enumerate(terms):
-        term_of[i], parent[i] = pos, p
-        kids[p].append(i)
-    term_cuts = [cuts[i] for i, _ in terms]
-    # x's leaf has vol 0 until the first count, which sets its log
-    logs = [math.log2(vols[i] / vols[p]) if vols[i] else 0.0 for i, p in terms]
+    for (_, node), cut in zip(nodes, cuts):
+        node.vol, node.cut = left_sum(map(degree_of, node.vertices)), cut
+    terms = list(node_terms(home))
+    log2 = math.log2
     best_d = -math.inf
     for k, (w, v) in enumerate(weights, start=1):
         deg[v] = g.degree[v] + w
         deg[x] += w
         volume = left_sum(deg)
         add_crossing(cuts, chains, ((v, x, w),))
-        changed = {*chains[v], *chains[x]}
-        for i in changed:
-            vols[i] = left_sum(map(degree_of, markers[i]))
-        for i in changed:  # a changed vol moves its own term's log and its children's
-            for j in (i, *kids[i]):
-                if term_of[j] is not None:
-                    logs[term_of[j]] = math.log2(vols[j] / vols[parent[j]])
-            if term_of[i] is not None:
-                term_cuts[term_of[i]] = cuts[i]
-        h = term_sum(zip(term_cuts, logs), volume)
+        for i in {*chains[v], *chains[x]}:
+            node = nodes[i][1]
+            node.vol, node.cut = left_sum(map(degree_of, node.vertices)), cuts[i]
+        h = term_sum([(c.cut, log2(c.vol / p.vol)) for c, p in terms], volume)
         d = shannon_entropy([dv / volume for dv in deg]) - h
         if d > best_d:
             best_d, best_k = d, k

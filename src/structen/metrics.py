@@ -69,8 +69,9 @@ def node_terms(t: EncodingTree):
 
 
 def term_sum(terms: Iterable[tuple[float, float]], vol: float) -> float:
-    """-sum of w / vol * l over (w, l) terms, in the order given: the one sum
-    behind every tree functional, where l is a node's log2(V_a / V_parent)."""
+    """-sum of w / vol * l over (w, l) terms, in the order given, where l is
+    a node's log2(V_a / V_parent): the one H sum in the package, run on
+    each caller's own node stats."""
     return -left_sum([w / vol * l for w, l in terms])
 
 
@@ -99,9 +100,12 @@ def compressing_info(g: Graph, t: EncodingTree) -> float:
 
 
 def module_entropy(g: Graph, t: EncodingTree, f: ModuleFunction) -> float:
-    """Generalized tree entropy with an arbitrary marker weighting."""
+    """Generalized tree entropy with an arbitrary marker weighting; the cut
+    and volume kinds read the checked stats, as `structural_entropy` does."""
     check_valid(g, t)
-    return _tree_sum(t, g.volume, lambda c: f(g, c.vertices))
+    weight = {"cut": lambda c: c.cut, "volume": lambda c: c.vol}.get(
+        f.kind, lambda c: f(g, c.vertices))
+    return _tree_sum(t, g.volume, weight)
 
 
 def decoding_info(g: Graph, t: EncodingTree) -> float:
@@ -112,7 +116,8 @@ def decoding_info(g: Graph, t: EncodingTree) -> float:
 def distribution_entropy(p: Sequence[float], t: EncodingTree) -> float:
     """Tree entropy of a bare distribution; node mass plays both weights.
 
-    Independent of the tree and equal to the Shannon entropy of p.
+    Independent of the tree and equal to the Shannon entropy of p; summed
+    over the nodes of positive mass, so a one-point p gives -0.0.
     """
     p = check_distribution(p)
     leaf_chains(t, len(p), "invalid items tree: ")  # checks the shape
@@ -125,12 +130,8 @@ def distribution_entropy(p: Sequence[float], t: EncodingTree) -> float:
         return m
 
     total = fold(t.root, mass)
-    acc = 0.0
-    for child, parent in node_terms(t):
-        mc, mp = masses[id(child)], masses[id(parent)]
-        if mc > 0:
-            acc -= mc / total * math.log2(mc / mp)
-    return acc
+    return term_sum([(m, math.log2(m / masses[id(parent)])) for child, parent in node_terms(t)
+                     if (m := masses[id(child)]) > 0], total)
 
 
 def _path_nodes(t: EncodingTree) -> dict[int, list[TreeNode]]:

@@ -138,6 +138,16 @@ class TestEntropyCommand:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr.startswith("error: ")
 
+    def test_import_leaves_numpy_unloaded(self):
+        # only commands that read a similarity matrix load numpy
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = "import sys, structen.cli; print('numpy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
     def test_trace_file_replays_to_printed_result(self, files, capsys):
         rng = random.Random(40)
         lines = [f"v{i} v{i + 1} {rng.uniform(0.1, 3.0):.4f}" for i in range(24)]

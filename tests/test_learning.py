@@ -346,6 +346,22 @@ class TestBuildDataSpace:
         with pytest.raises(InvariantViolation, match="non-finite"):
             st.build_data_space(sim, catalog, height=2)
 
+    def test_catalog_and_source_checked_before_the_sweep(self, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the sweep ran on inputs it must reject")
+
+        monkeypatch.setattr("structen.learning.minimize_kd", no_sweep)
+        sim = planted_similarity([range(4), range(4, 8)])
+        full = FeatureCatalog({str(i): FeatureSet() for i in range(8)})
+        partial = FeatureCatalog({str(i): FeatureSet() for i in range(7)})
+        with pytest.raises(InvariantViolation, match="missing catalog entry for vertex '7'"):
+            st.build_data_space(sim, partial, height=2)
+        lettered = FeatureCatalog({v: FeatureSet() for v in "abcdefg"})
+        with pytest.raises(InvariantViolation, match="missing catalog entry for vertex 'h'"):
+            st.build_data_space(sim, lettered, height=2, ids="abcdefgh")
+        with pytest.raises(InvariantViolation, match="unknown feature source 'bogus'"):
+            st.build_data_space(sim, full, height=2, abstraction_source="bogus")
+
 
 class TestInsertPoint:
     @pytest.fixture
@@ -381,29 +397,56 @@ class TestInsertPoint:
         assert {"4", "5", "6", "7"}.isdisjoint(report.module)
 
     def test_chosen_k_dominates_single_edge(self, block_space):
-        # the swept argmax is at least as decodable as the k=1 candidate
-        sims = {str(i): (0.5 if i < 4 else 0.1) for i in range(8)}
-        ds, report = st.insert_point(block_space, "x", sims, syntax={"b1"})
-        g0 = block_space.graph
-        target = st.choose_abstraction(block_space, {"b1"})
-        ranked = sorted(((w, g0.index[v]) for v, w in sims.items() if w > 0),
-                        key=lambda t: (-t[0], t[1]))
-        ids2 = g0.vertex_ids + ("x",)
-        old = [(g0.vertex_ids[u], g0.vertex_ids[v], w) for u, v, w in g0.edges]
+        # the chosen count is the first argmax of the decodable information
+        # over every count, on the fixture and on seeded planted spaces
+        def decodability_by_count(space, sims, syntax):
+            # H1 - H for each count, with x in the home slot, by public calls:
+            # the module itself, or its parent when it is a leaf at the cap
+            g0 = space.graph
+            module = st.choose_abstraction(space, syntax).decoder_path
+            home = module if len(module) < space.height else module[:-1]
+            ranked = sorted(((w, g0.index[v]) for v, w in sims.items() if w > 0),
+                            key=lambda t: (-t[0], t[1]))
+            ids = g0.vertex_ids + ("x",)
+            old = [(g0.vertex_ids[u], g0.vertex_ids[v], w) for u, v, w in g0.edges]
+            out = []
+            for k in range(1, len(ranked) + 1):
+                gk = st.Graph(ids, old + [(g0.vertex_ids[v], "x", w) for w, v in ranked[:k]])
+                doc = st.serialize(g0, space.decoder)
+                node = doc
+                for i in home:
+                    node = node["children"][i]
+                if "vertex" in node:  # a leaf grows into a two-leaf module
+                    node["children"] = [{"vertex": node.pop("vertex")}, {"vertex": "x"}]
+                else:
+                    node["children"].append({"vertex": "x"})
+                tk = st.deserialize(gk, doc)
+                out.append(st.one_dim_entropy(gk) - st.structural_entropy(gk, tk))
+            return out
 
-        def placed_decodability(k):
-            extra = [(g0.vertex_ids[v], "x", w) for w, v in ranked[:k]]
-            gk = st.Graph(ids2, old + extra)
-            # the decoder with x as one more leaf of the target module
-            doc = st.serialize(g0, block_space.decoder)
-            module = doc
-            for i in target.decoder_path:
-                module = module["children"][i]
-            module["children"].append({"vertex": "x"})
-            tk = st.deserialize(gk, doc)
-            return st.one_dim_entropy(gk) - st.structural_entropy(gk, tk)
-
-        assert placed_decodability(report.chosen_k) >= placed_decodability(1) - 1e-9
+        cases = [(block_space, {str(i): (0.5 if i < 4 else 0.1) for i in range(8)}, {"b1"})]
+        rng = random.Random(17)
+        for height in (2, 3):
+            for _ in range(4):
+                sizes = [rng.randint(2, 5) for _ in range(rng.randint(2, 4))]
+                starts = np.cumsum([0] + sizes)
+                blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
+                catalog = FeatureCatalog({str(v): FeatureSet(frozenset({f"b{bi}"}))
+                                          for bi, block in enumerate(blocks) for v in block})
+                space = st.build_data_space(planted_similarity(blocks), catalog, height=height)
+                for _ in range(3):
+                    bi = rng.randrange(len(blocks))
+                    sims = {str(v): (rng.uniform(0.4, 0.9) if v in blocks[bi]
+                                     else rng.choice([0.0, rng.uniform(0.01, 0.2)]))
+                            for v in range(int(starts[-1]))}
+                    cases.append((space, sims, {f"b{bi}"}))
+        chosen = set()
+        for space, sims, syntax in cases:
+            _, report = st.insert_point(space, "x", sims, syntax=syntax)
+            d = decodability_by_count(space, sims, syntax)
+            assert report.chosen_k == 1 + d.index(max(d))
+            chosen.add(report.chosen_k)
+        assert len(chosen) > 2  # the sweep picks more than one count
 
     def test_rebuild_consistency(self, block_space):
         sims = {str(i): (0.5 if i < 4 else 0.0) for i in range(8)}

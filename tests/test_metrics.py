@@ -78,9 +78,16 @@ class TestEdgewiseOracles:
 
 class TestModuleEntropy:
     def test_cut_function_reduces_to_structural(self, barbell):
-        t = two_part(barbell)
-        assert st.module_entropy(barbell, t, ModuleFunction.cut()) == pytest.approx(
-            st.structural_entropy(barbell, t), abs=1e-9)
+        # the cut kind reads the same checked stats, so the two agree bit for bit
+        cases = [(barbell, two_part(barbell))]
+        rng = random.Random(15)
+        for _ in range(40):
+            shape = random_connected_graph(rng, 8, 40)
+            g = st.Graph.from_index_edges(
+                shape.n, [(u, v, rng.uniform(0.5, 2.0)) for u, v, _ in shape.edges])
+            cases += [(g, st.minimize_kd(g, k).tree) for k in (2, 3)]
+        for g, t in cases:
+            assert st.module_entropy(g, t, ModuleFunction.cut()) == st.structural_entropy(g, t)
 
     def test_volume_function_is_tree_independent_h1(self):
         rng = random.Random(13)
