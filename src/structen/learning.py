@@ -342,27 +342,23 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     target = choose_abstraction(ds, features.pick(ds.abstraction_source))
     h_before = structural_entropy(g, ds.decoder)
     x = g.n
-    placements = [_apply_position(ds.decoder, path, x)
+    placements = [(path, _apply_position(ds.decoder, path, x))
                   for path in _slots(ds.decoder, target.decoder_path, ds.height)]
     attachment = [(g.vertex_ids[v], w) for w, v in weights]
     g.with_vertex(point_id, attachment)  # checks every count: each is a subgraph of this
-    best_k = _best_count(g, placements[0], weights)
+    best_k = _best_count(g, placements[0][1], weights)
     new_graph = g.with_vertex(point_id, attachment[:best_k])
-    new_tree, h_after = None, math.inf
-    for tree in placements:  # home first
+    h_after = math.inf
+    for path, tree in placements:  # home first
         refresh_stats(new_graph, tree)
         h = cached_entropy(tree, new_graph.volume)
         if h < h_after - 1e-12:
-            new_tree, h_after = tree, h
+            slot, new_tree, h_after = path, tree, h
 
     catalog = ds.catalog.with_entry(point_id, features)
     out = DataSpace.from_decoder(new_graph, new_tree, catalog, ds.construction_k,
                                  ds.height, ds.sweep, ds.abstraction_source)
-    leaf_path = codeword(new_tree, x)
-    if len(leaf_path) > 1:
-        module = new_tree.node_at(leaf_path[:-1]).vertices
-    else:
-        module = frozenset((x,))
+    module = new_tree.node_at(slot).vertices if slot else (x,)  # x's parent is its slot
     report = InsertReport(abstraction=target.path, chosen_k=best_k,
                           module=tuple(sorted(new_graph.vertex_ids[v] for v in module)),
                           h_before=h_before, h_after=h_after)

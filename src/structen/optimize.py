@@ -44,6 +44,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
@@ -182,7 +183,11 @@ class _Shape:
     same list); and one `stamp` per live node, renewed whenever the node
     moves or its children change, so that a heap entry scored before the
     change can tell it is stale.  `pair` and `flatten` are the only step
-    operators; both keep every child list in `low` order."""
+    operators; both keep every child list in `low` order.  Each kind of
+    edit has one home: `split` files every edge under its sibling pair, the
+    star's included; `pair` alone re-keys existing rows onto a new node;
+    and past the star, `adopt` sets every parent link and renews every
+    stamp."""
 
     __slots__ = ("tree", "edges", "leaf", "parent", "height", "low", "rows", "stamp", "tick")
 
@@ -195,9 +200,7 @@ class _Shape:
         self.height: dict[TreeNode, int] = {root: 1, **dict.fromkeys(self.leaf, 0)}
         self.low: dict[TreeNode, int] = {root: 0, **{c: c.vertex for c in self.leaf}}
         self.rows: dict[TreeNode, dict[TreeNode, list[int]]] = {node: {} for node in self.height}
-        for i, (u, v, _) in enumerate(g.edges):  # each edge joins two sibling leaves
-            a, b = self.leaf[u], self.leaf[v]
-            self.rows[a][b] = self.rows[b][a] = [i]
+        self.split(range(len(g.edges)), root)  # each edge joins two sibling leaves
         self.tick = itertools.count()
         self.stamp: dict[TreeNode, int] = {node: next(self.tick) for node in self.height}
 
@@ -240,15 +243,12 @@ class _Shape:
             rows[x][new] = ids
         rows[new] = row
         self.attach(new, up)
-        if kind:
-            rows[a], rows[b] = {b: between}, {a: between}
-        else:
-            for side in (a, b):
-                if side.is_leaf:
-                    rows[side] = {}
-                else:
-                    self.detach(side)
-            self.split(between, new)
+        for side in (a, b):
+            if kind or side.is_leaf:
+                rows[side] = {}
+            else:
+                self.detach(side)
+        self.split(between, new)
         return new
 
     def flatten(self, node: TreeNode) -> None:
@@ -258,10 +258,7 @@ class _Shape:
         up.children = [c for c in up.children if c is not node] + node.children
         up.children.sort(key=self.low.__getitem__)
         self.detach(node)
-        for c in node.children:
-            self.parent[c] = up
-            self.stamp[c] = next(self.tick)
-        self.stamp[up] = next(self.tick)
+        self.adopt(node.children, up)
         for x, ids in self.rows.pop(node).items():
             del self.rows[x][node]
             self.split(ids, up)
@@ -269,17 +266,21 @@ class _Shape:
 
     def attach(self, node: TreeNode, up: TreeNode) -> None:
         """Register a node that a merge or combine just put under `up`."""
-        stamp, tick = self.stamp, self.tick
-        for c in node.children:
-            self.parent[c] = node
-            stamp[c] = next(tick)
-        self.parent[node] = up
-        stamp[node], stamp[up] = next(tick), next(tick)
+        self.adopt(node.children, node)
+        self.adopt((node,), up)
         self.low[node] = self.low[node.children[0]]
         h = self.height[node] = 1 + max(self.height[c] for c in node.children)
         while up is not None and self.height[up] <= h:  # heights only grow here
             h = self.height[up] = h + 1
             up = self.parent.get(up)
+
+    def adopt(self, children: Iterable[TreeNode], up: TreeNode) -> None:
+        """Make `up` the parent of each child, renewing the stamps of every
+        child and of `up`."""
+        for c in children:
+            self.parent[c] = up
+            self.stamp[c] = next(self.tick)
+        self.stamp[up] = next(self.tick)
 
     def detach(self, node: TreeNode) -> None:
         """Forget a node whose children were handed to another node."""
@@ -294,10 +295,11 @@ class _Shape:
             self.height[node] = h
             node = self.parent.get(node)
 
-    def split(self, between: list[int], up: TreeNode) -> None:
+    def split(self, between: Iterable[int], up: TreeNode) -> None:
         """File edges, in order, under the pair of children of `up` that they
-        now join; every such pair must be new to `rows`, so each of its
-        lists stays ascending."""
+        now join: the star's edges, the edges between a merge's or a
+        combine's operands, and a flattened node's rows.  Every such pair
+        must be new to `rows`, so each of its lists stays ascending."""
         parent, rows = self.parent, self.rows
         for i in between:
             u, v, _ = self.edges[i]

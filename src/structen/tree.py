@@ -252,7 +252,8 @@ def _node_stats(g: Graph, t: EncodingTree, invalid: str = "invalid encoding tree
 
 def refresh_stats(g: Graph, t: EncodingTree) -> None:
     """Check t's shape and recompute every cached vol and cut from the
-    graph, in place: the one routine that writes node stats."""
+    graph, in place.  Only `learning._best_count` also writes node stats,
+    into its own placement copy."""
     for _, node, vol, cut in _node_stats(g, t):
         node.vol, node.cut = vol, cut
 

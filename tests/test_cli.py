@@ -220,6 +220,18 @@ class TestOracleCommand:
         assert doc["vol"] == 14.0
         assert len(doc["children"]) == 2
 
+    def test_barbell_height_3(self, files, capsys):
+        out_tree = files / "oracle.json"
+        code, out, _ = run(capsys, "oracle", "--graph", files / "barbell.tsv",
+                           "--height", 3, "--out", out_tree)
+        assert code == 0
+        assert out == ("optimum 1.468841015\n"
+                       "module a b c\n"
+                       "module d e f\n")
+        g = st.load_graph(files / "barbell.tsv")
+        tree = st.deserialize(g, json.loads(out_tree.read_text(encoding="utf-8")))
+        assert tree == st.brute_force_kd(g, 3).tree and tree.height() == 3
+
     def test_size_guard_exit_3(self, files, capsys):
         ring = files / "ring12.tsv"
         ring.write_text("".join(f"v{i}\tv{(i + 1) % 12}\t1\n" for i in range(12)),
@@ -435,6 +447,49 @@ class TestNonUtf8Input:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {files / 'bad.txt'}: not UTF-8 text")
         assert "Traceback" not in err
+
+
+BUILD_FROM_BAD = ("build", "--similarity", "{}/bad.txt")
+BUILD_WITH_BAD_FEATURES = ("build", "--similarity", "{}/blocks.csv", "--features", "{}/bad.txt")
+INSERT_BAD_POINT = ("insert", "--space", "{}/space.json", "--point", "{}/bad.txt")
+BAD_DOCUMENTS = {
+    # input fault -> (argv, text of bad.txt, stderr line after "error: "),
+    # "{}" standing for the files' directory and "{}/" dropped from the line
+    "csv of one sample": (BUILD_FROM_BAD, ",a\na,0\n",
+                          "bad.txt: similarity matrix needs at least 2 samples"),
+    "csv row count": (BUILD_FROM_BAD, ",a,b,c\na,0,1,1\nb,1,0,1\n",
+                      "bad.txt: expected 4 rows, got 3"),
+    "csv short row": (BUILD_FROM_BAD, ",a,b\na,0\nb,1,0\n",
+                      "bad.txt: row 2 has 2 fields, expected 3"),
+    "csv row id": (BUILD_FROM_BAD, ",a,b\na,0,1\nc,1,0\n",
+                   "bad.txt: row 3 identifier 'c' does not match header"),
+    "catalog not an object": (BUILD_WITH_BAD_FEATURES, "[]",
+                              "feature catalog: expected an object of vertex entries"),
+    "catalog entry not an object": (BUILD_WITH_BAD_FEATURES, '{"s0": 5}',
+                                    "feature catalog: entry for 's0' must be an object"),
+    "catalog tokens not a list": (BUILD_WITH_BAD_FEATURES, '{"s0": {"syntax": "b1"}}',
+                                  "feature catalog: token lists expected for 's0'"),
+    "malformed json": (("entropy", "--graph", "{}/barbell.tsv", "--tree", "{}/bad.txt"),
+                       '{"children": [', "bad.txt: Expecting value: line 1 column 15 (char 14)"),
+    "space missing a key": (("insert", "--space", "{}/bad.txt", "--point", "{}/point.json"),
+                            '{"vertices": ["s0", "s1"]}', "space document: missing 'edges'"),
+    "point without id": (INSERT_BAD_POINT, '{"sims": {"s0": 0.5}}',
+                         "bad.txt: point document needs 'id' and 'sims'"),
+    "point without sims": (INSERT_BAD_POINT, '{"id": "x"}',
+                           "bad.txt: point document needs 'id' and 'sims'"),
+}
+
+
+class TestBadDocuments:
+    @pytest.mark.parametrize("argv, text, message", BAD_DOCUMENTS.values(),
+                             ids=BAD_DOCUMENTS.keys())
+    def test_exit_1_with_one_error_line(self, files, capsys, argv, text, message):
+        run(capsys, "build", "--similarity", files / "blocks.csv", "--height", 2,
+            "--features", files / "blockfeat.json", "--space-out", files / "space.json")
+        (files / "bad.txt").write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *(a.format(files) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.replace(f"{files}/", "") == f"error: {message}\n"
 
 
 class TestKnowledgeCommand:

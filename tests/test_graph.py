@@ -8,7 +8,7 @@ import pytest
 import structen as st
 from structen import GraphParseError, InvariantViolation, SizeGuardExceeded
 
-from structen.graph import left_sum
+from structen.graph import left_sum, positive_pairs
 
 from conftest import complete_graph, random_connected_graph
 
@@ -103,6 +103,8 @@ class TestCutAndConductance:
             st.cut_weight(triangle, set())
         with pytest.raises(InvariantViolation):
             st.cut_weight(triangle, {0, 1, 2})
+        with pytest.raises(InvariantViolation, match="^subset contains an out-of-range vertex$"):
+            st.cut_weight(triangle, {5})
 
     def test_conductance_subset_examples(self, k4, barbell, p3):
         assert st.conductance_subset(k4, {0, 1}) == pytest.approx(4 / 6)
@@ -182,6 +184,8 @@ class TestEntropy:
             st.shannon_entropy([0.5, 0.6])
         with pytest.raises(InvariantViolation):
             st.shannon_entropy([-0.1, 1.1])
+        with pytest.raises(InvariantViolation, match="^empty distribution$"):
+            st.shannon_entropy([])
 
     def test_shannon_rejects_non_finite_entries(self):
         for x in (10 ** 400, math.inf, math.nan):
@@ -384,3 +388,21 @@ class TestSimilarityCsv:
             path.write_text(f",a,b,c\na,0,1,{x}\nb,1,0,1\nc,{x},1,0\n", encoding="utf-8")
             with pytest.raises(GraphParseError, match="bad number"):
                 st.load_similarity_csv(path)
+
+
+INPUT_CHECKS = {
+    # id -> (call, message); each call raises InvariantViolation
+    "graph of one vertex": (lambda: st.Graph(["a"], []), "a graph needs at least 2 vertices"),
+    "graph without edges": (lambda: st.Graph(["a", "b"], []), "a graph needs at least one edge"),
+    "non-square similarity": (lambda: positive_pairs(np.ones((2, 3))),
+                              "similarity matrix must be square"),
+    "one-row similarity": (lambda: positive_pairs(np.zeros((1, 1))),
+                           "similarity matrix needs at least 2 rows"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_check(call, message):
+    with pytest.raises(InvariantViolation) as err:
+        call()
+    assert str(err.value) == message

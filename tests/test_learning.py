@@ -77,6 +77,13 @@ class TestKnowledgeTree:
         with pytest.raises(InvariantViolation, match="missing catalog entry"):
             st.knowledge_tree(g, tree, catalog)
 
+    def test_entry_of_a_missing_id_rejected(self, worked_example):
+        _, _, catalog = worked_example
+        assert catalog.entry(2) == catalog.entry("2")
+        with pytest.raises(InvariantViolation) as err:
+            catalog.entry(3)
+        assert str(err.value) == "missing catalog entry for vertex 3"
+
     def test_syntax_source_restricts_tokens(self, triangle):
         tree = st.from_partition(triangle, [{0, 1}, {2}])
         catalog = catalog_of({"0": ({"s"}, {"m"}), "1": ({"s"}, {"m"}),
@@ -524,6 +531,19 @@ class TestInsertPoint:
         with pytest.raises(InvariantViolation, match="unknown vertex"):
             st.insert_point(block_space, "x", {"nope": 1.0})
 
+    @pytest.mark.parametrize("sims, message", [
+        ({0: 0.5, "0": 0.7}, "duplicate edge '0'-'x'"),   # one vertex named twice
+        ({"0": 1e308, "1": 1e308}, "graph volume overflows to inf"),
+    ], ids=["duplicate", "overflow"])
+    def test_attachment_checked_before_the_sweep(self, block_space, monkeypatch, sims, message):
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the count sweep ran on an attachment it must reject")
+
+        monkeypatch.setattr("structen.learning._best_count", no_sweep)
+        with pytest.raises(InvariantViolation) as err:
+            st.insert_point(block_space, "x", sims)
+        assert str(err.value) == message
+
 
 class TestClassifyByAbstraction:
     def test_worked_arithmetic(self):
@@ -547,6 +567,11 @@ class TestClassifyByAbstraction:
     def test_empty_set_rejected(self):
         with pytest.raises(InvariantViolation, match="empty abstraction set"):
             st.classify_by_abstraction([("A", ())], {"x": 1.0})
+
+    def test_no_sets_rejected(self):
+        with pytest.raises(InvariantViolation) as err:
+            st.classify_by_abstraction([], {"x": 1.0})
+        assert str(err.value) == "no abstraction sets given"
 
     @pytest.mark.parametrize("sample", [
         {"x": math.nan, "y": 0.1},           # would let 'b' win silently

@@ -114,6 +114,18 @@ class TestModuleEntropy:
         with pytest.raises(InvariantViolation, match="module function"):
             st.module_entropy(k4, t, f)
 
+    def test_cut_and_volume_functions_read_the_graph(self, barbell):
+        for marker in ({0}, {0, 1, 2}, {2, 3}, {1, 4, 5}):
+            assert ModuleFunction.cut()(barbell, marker) == st.cut_weight(barbell, marker)
+            assert ModuleFunction.volume()(barbell, marker) == st.subset_volume(barbell, marker)
+        assert ModuleFunction.cut()(barbell, {0, 1, 2}) == 1.0
+        assert ModuleFunction.volume()(barbell, {0, 1, 2}) == 7.0
+
+    def test_unknown_kind_rejected(self, k4):
+        with pytest.raises(InvariantViolation) as err:
+            ModuleFunction("bogus")(k4, {0})
+        assert str(err.value) == "unknown module function kind 'bogus'"
+
 
 class TestDistributionEntropy:
     def test_half_quarter_quarter(self):

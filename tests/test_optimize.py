@@ -282,16 +282,30 @@ class TestTraceContract:
             st.replay_trace(barbell, trace)
 
     def test_replay_rejects_steps_that_do_not_apply(self, barbell):
+        # a valid combine of leaves 0 and 1, leaving a node with two children
+        combine = st.TraceStep("combine", (0,), (1,), st.structural_entropy(
+            barbell, st.star_tree(barbell)) - st.structural_entropy(
+            barbell, st.build_tree(barbell, [[0, 1], 2, 3, 4, 5])))
         bad_steps = [
-            st.TraceStep("merge", (0,), (0,), 0.1),          # one operand twice
-            st.TraceStep("merge", (0,), (9,), 0.1),          # no such node
-            st.TraceStep("combine", (0,), (1, 0), 0.1),      # not siblings
-            st.TraceStep("flatten", (0,), (), 0.0),          # a leaf
-            st.TraceStep("split", (0,), (1,), 0.1),          # unknown kind
+            ([st.TraceStep("merge", (0,), (0,), 0.1)],       # one operand twice
+             "trace step 0 (merge 0 0): operands are not two distinct siblings"),
+            ([st.TraceStep("merge", (0,), (9,), 0.1)],       # no such node
+             "no node at path 9"),
+            ([st.TraceStep("combine", (0,), (1, 0), 0.1)],   # not siblings
+             "trace step 0 (combine 0 1.0): operands are not two distinct siblings"),
+            ([st.TraceStep("flatten", (0,), (), 0.0)],       # a leaf
+             "trace step 0 (flatten 0 root): cannot flatten a leaf"),
+            ([st.TraceStep("flatten", (0,), (1,), 0.0)],     # not the parent
+             "trace step 0 (flatten 0 1): the second path must be the parent"),
+            ([combine, st.TraceStep("merge", (0, 0), (0, 1), 0.1)],
+             "trace step 1 (merge 0.0 0.1): would leave the parent with a single child"),
+            ([st.TraceStep("split", (0,), (1,), 0.1)],       # unknown kind
+             "trace step 0 (split 0 1): not a step the optimizer takes"),
         ]
-        for step in bad_steps:
-            with pytest.raises(InvariantViolation):
-                st.replay_trace(barbell, [step])
+        for steps, message in bad_steps:
+            with pytest.raises(InvariantViolation) as err:
+                st.replay_trace(barbell, steps)
+            assert str(err.value) == message
 
     def test_replay_rejects_a_negative_index(self, barbell):
         step = st.TraceStep("merge", (-1,), (4,), 0.1)
@@ -405,6 +419,8 @@ class TestBruteForceKd:
             st.brute_force_kd(two_cliques(4), 3)
         with pytest.raises(SizeGuardExceeded):
             st.brute_force_kd(barbell, 4)
+        with pytest.raises(InvariantViolation, match="^height cap must be at least 2$"):
+            st.brute_force_kd(barbell, 1)
 
     def test_tie_rule_p3(self, p3):
         # [[0], [1, 2]] and [[0, 1], [2]] tie; the canonical order puts (0,) first
@@ -496,3 +512,25 @@ class TestDecodingInfoK:
             g = random_connected_graph(rng)
             res = st.minimize_kd(g, 2)
             assert st.compressing_info(g, res.tree) >= -1e-12
+
+
+INPUT_CHECKS = {
+    # id -> (call, message); each call raises InvariantViolation
+    "merge of a non-flat module": (
+        lambda: st.merge_delta(two_cliques(2), st.build_tree(two_cliques(2), [[0, [1, 2]], 3]),
+                               (0,), (1,)),
+        "merge_delta needs flat modules (children must be leaves)"),
+    "compressible with rho 0": (lambda: st.is_compressible(two_cliques(2), 4, 2, 0.0),
+                                "rho must lie in (0, 1)"),
+    "compressible with rho 1": (lambda: st.is_compressible(two_cliques(2), 4, 2, 1.0),
+                                "rho must lie in (0, 1)"),
+    "compressible below height 2": (lambda: st.is_compressible(two_cliques(2), 4, 1, 0.5),
+                                    "k must be at least 2"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_check(call, message):
+    with pytest.raises(InvariantViolation) as err:
+        call()
+    assert str(err.value) == message

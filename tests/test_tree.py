@@ -10,7 +10,7 @@ from structen import GraphParseError, InvariantViolation
 from structen.learning import check_strict_growth
 from structen.tree import TreeNode
 
-from conftest import random_connected_graph, random_encoding_tree
+from conftest import complete_graph, random_connected_graph, random_encoding_tree
 
 
 class TestStarTree:
@@ -345,3 +345,21 @@ class TestDeepTrees:
         # every syntax set is {"c"}, so the whole chain contracts into the root
         assert check_strict_growth(ds.abstractions) is None
         assert ds.abstractions.root.features == {"c"} and ds.abstractions.root.is_leaf
+
+
+INPUT_CHECKS = {
+    # id -> (call, message); each call raises InvariantViolation
+    "partition with an empty part": (
+        lambda: st.from_partition(complete_graph(4), [{0, 1}, set(), {2, 3}]), "empty part"),
+    "empty node spec": (lambda: st.build_tree(complete_graph(4), [[0, 1], [], [2, 3]]),
+                        "empty node spec"),
+    "vertex of an internal node": (lambda: st.star_tree(complete_graph(4)).root.vertex,
+                                   "node is not a singleton leaf"),
+}
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS.keys())
+def test_input_check(call, message):
+    with pytest.raises(InvariantViolation) as err:
+        call()
+    assert str(err.value) == message
