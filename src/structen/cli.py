@@ -1,8 +1,9 @@
 """Command-line surface: entropy reports, the exact oracle, space building,
 point insertion, and knowledge/abstraction tree extraction.
 
-Exit codes: 0 ok, 1 parse error, 2 invariant violation, 3 size guard.
-All output is deterministic; real numbers print with 9 decimal places.
+Exit codes: 0 ok, else the `exit_code` of the error raised (1 parse error,
+2 invariant violation, 3 size guard); a file that cannot be read exits 1.
+All output is deterministic; real numbers print through `format_real`.
 """
 
 from __future__ import annotations
@@ -12,18 +13,15 @@ import functools
 import json
 import sys
 
-from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
-from .graph import Graph, load_graph, load_similarity_csv, one_dim_entropy, read_text
+from .errors import GraphParseError, InvariantViolation, StructenError
+from .graph import (Graph, format_real, is_integer, load_graph, load_similarity_csv,
+                    one_dim_entropy, read_text)
 from .learning import (DataSpace, FeatureCatalog, FeatureSet, abstraction_tree,
                        build_data_space, check_strict_growth, insert_point,
                        knowledge_tree)
 from .metrics import info_report
-from .optimize import brute_force_2d, brute_force_kd, minimize_kd
+from .optimize import brute_force_kd, minimize_kd
 from .tree import deserialize, fold, format_path, serialize
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9f}"
 
 
 def _read_json(path):
@@ -56,25 +54,22 @@ def cmd_entropy(args) -> int:
         sys.stdout.write(info_report(g, t).to_text())
     elif args.dim is not None:
         result = minimize_kd(g, args.dim)
-        print(f"h1 {_fmt(one_dim_entropy(g))}")
-        print(f"h_t {_fmt(result.entropy)}")
+        print(f"h1 {format_real(one_dim_entropy(g))}")
+        print(f"h_t {format_real(result.entropy)}")
         for line in _module_lines(g, result.tree):
             print(line)
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(result.trace_text())
     else:
-        print(f"h1 {_fmt(one_dim_entropy(g))}")
+        print(f"h1 {format_real(one_dim_entropy(g))}")
     return 0
 
 
 def cmd_oracle(args) -> int:
     g = load_graph(args.graph)
-    if args.height == 2:
-        result = brute_force_2d(g)
-    else:
-        result = brute_force_kd(g, args.height)
-    print(f"optimum {_fmt(result.entropy)}")
+    result = brute_force_kd(g, args.height)
+    print(f"optimum {format_real(result.entropy)}")
     for line in _module_lines(g, result.tree):
         print(line)
     if args.out:
@@ -88,14 +83,14 @@ def cmd_build(args) -> int:
         else FeatureCatalog({vid: FeatureSet() for vid in ids})
     ds = build_data_space(sim, catalog, height=args.height, ids=ids)
     for k, d in ds.sweep:
-        print(f"kappa {k} decode {_fmt(d)}")
+        print(f"kappa {k} decode {format_real(d)}")
     print(f"chosen {ds.construction_k}")
     for line in _module_lines(ds.graph, ds.decoder):
         print(line)
     if args.graph_out:
         with open(args.graph_out, "w", encoding="utf-8") as fh:
             for u, v, w in ds.graph.edges:
-                fh.write(f"{ds.graph.vertex_ids[u]}\t{ds.graph.vertex_ids[v]}\t{_fmt(w)}\n")
+                fh.write(f"{ds.graph.vertex_ids[u]}\t{ds.graph.vertex_ids[v]}\t{format_real(w)}\n")
     if args.space_out:
         _write_json(args.space_out, _space_doc(ds))
     return 0
@@ -123,7 +118,7 @@ def _space_from_doc(doc) -> DataSpace:
         if not isinstance(doc, dict) or key not in doc:
             raise GraphParseError(f"space document: missing {key!r}")
     for key in ("height", "construction_k"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+        if not is_integer(doc[key]):
             raise GraphParseError(f"space document: {key!r} must be an integer")
     if not isinstance(doc["vertices"], list):
         raise GraphParseError("space document: 'vertices' must be a list")
@@ -161,8 +156,8 @@ def cmd_insert(args) -> int:
     print(f"abstraction {format_path(report.abstraction)}")
     print(f"k {report.chosen_k}")
     print(f"module {' '.join(report.module)}")
-    print(f"h_before {_fmt(report.h_before)}")
-    print(f"h_after {_fmt(report.h_after)}")
+    print(f"h_before {format_real(report.h_before)}")
+    print(f"h_after {format_real(report.h_after)}")
     if args.out:
         _write_json(args.out, _space_doc(updated))
     return 0
@@ -249,18 +244,9 @@ def main(argv=None) -> int:
         parser.error("--trace needs --dim")
     try:
         return args.func(args)
-    except GraphParseError as exc:
+    except (StructenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SizeGuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)  # a file that cannot be read exits 1
 
 
 def entry() -> None:

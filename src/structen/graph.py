@@ -36,6 +36,19 @@ def left_sum(values: Iterable[float], start: float = 0.0) -> float:
     return reduce(add, values, start)
 
 
+def is_integer(x) -> bool:
+    """Whether x is an integer, a numpy one included, and not a bool."""
+    # the exact int test first: an isinstance check against an ABC is slow
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def format_real(x: float) -> str:
+    """`x` with 9 decimals, the one format of every real number the package
+    prints; a value that rounds to zero prints without a sign."""
+    text = f"{x:.9f}"
+    return text[1:] if text[0] == "-" and float(text) == 0 else text
+
+
 def real_weight(w, what: str) -> float:
     """`w` as a float, inf for an integer beyond the float range; a value
     that is not a real number, or is a bool, raises InvariantViolation."""
@@ -160,9 +173,7 @@ class Graph:
             raise InvariantViolation(f"expected {n} vertex ids, got {len(ids)}")
 
         def vertex_id(x) -> str:
-            # the exact int test first: an isinstance check against an ABC is slow
-            integer = type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
-            if not (integer and 0 <= x < n):
+            if not (is_integer(x) and 0 <= x < n):
                 raise InvariantViolation(f"edge endpoint {x!r} is not a vertex index in range({n})")
             return ids[x]
 
@@ -218,13 +229,20 @@ def load_graph(path) -> Graph:
     return Graph(ids, edges)
 
 
+def vertex_set(g: Graph, s) -> VertexSet:
+    """s as a set of vertex indices of g; a member that is not an integer
+    in range(g.n), or is a bool, raises InvariantViolation."""
+    s = frozenset(s)
+    if not all(is_integer(v) and 0 <= v < g.n for v in s):
+        raise InvariantViolation("subset contains an out-of-range vertex")
+    return s
+
+
 def _check_subset(g: Graph, s) -> VertexSet:
     s = frozenset(s)
     if not s:
         raise InvariantViolation("subset is empty")
-    if not all(isinstance(v, int) and 0 <= v < g.n for v in s):
-        raise InvariantViolation("subset contains an out-of-range vertex")
-    if len(s) == g.n:
+    if len(vertex_set(g, s)) == g.n:
         raise InvariantViolation("subset equals the whole vertex set")
     return s
 
@@ -236,7 +254,8 @@ def cut_weight(g: Graph, s) -> float:
 
 
 def subset_volume(g: Graph, s) -> float:
-    return left_sum(g.degree[v] for v in s)
+    """Total degree of the vertices in s, which may be empty or every vertex."""
+    return left_sum(g.degree[v] for v in vertex_set(g, s))
 
 
 def conductance_subset(g: Graph, s) -> float:
@@ -350,6 +369,8 @@ def build_topk_graph(sim, k: int, ids: Sequence[str] | None = None) -> Graph:
     """
     pairs = positive_pairs(sim)
     n = len(sim)
+    if not is_integer(k):
+        raise InvariantViolation(f"k={k!r} is not an integer")
     if not 1 <= k <= len(pairs):
         raise InvariantViolation(f"k={k} but only {len(pairs)} positive pairs are available")
     k_min = smallest_connected(n, pairs)

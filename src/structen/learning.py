@@ -17,10 +17,10 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphParseError, InvariantViolation
-from .graph import (Graph, left_sum, one_dim_entropy, positive_pairs, real_weight,
-                    shannon_entropy, smallest_connected)
+from .graph import (Graph, is_integer, left_sum, one_dim_entropy, positive_pairs,
+                    real_weight, shannon_entropy, smallest_connected)
 from .metrics import cached_entropy, node_terms, structural_entropy, term_sum
-from .optimize import minimize_kd
+from .optimize import _check_height, minimize_kd
 from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_chains,
                    refresh_stats, walk)
 
@@ -207,7 +207,7 @@ def choose_abstraction(ds: "DataSpace", features: Iterable[str]) -> FeatureNode:
     Empty feature sets never match; ties prefer the larger feature set and
     then the smaller tree position.  Falls back to the root.
     """
-    query = frozenset(map(str, features))
+    query = frozenset(map(str, _tokens(features, "feature query")))
     best = None
     best_key = None
     for path, node in walk(ds.abstractions.root):
@@ -216,6 +216,14 @@ def choose_abstraction(ds: "DataSpace", features: Iterable[str]) -> FeatureNode:
             if best_key is None or key < best_key:
                 best_key, best = key, node
     return best if best is not None else ds.abstractions.root
+
+
+def _tokens(tokens, what: str):
+    """`tokens` as given, unless it is one string, which would read as a
+    set of characters."""
+    if isinstance(tokens, str):
+        raise InvariantViolation(f"{what} is a string, not a collection of tokens")
+    return tokens
 
 
 def _vertex_index(g: Graph, vid) -> int:
@@ -243,8 +251,11 @@ class DataSpace:
                      construction_k: int, height: int, sweep=(),
                      abstraction_source: str = "syntax") -> "DataSpace":
         """Space over a given graph and decoder.  A catalog that misses a
-        vertex, or an unknown abstraction source, is rejected here."""
+        vertex, an unknown abstraction source, or a height that is not an
+        integer is rejected here."""
         catalog.require_cover(g.vertex_ids)
+        if not is_integer(height):
+            raise InvariantViolation(f"space height {height!r} is not an integer")
         FeatureSet().pick(abstraction_source)
         return cls(g, decoder, catalog, construction_k, height, tuple(sweep),
                    abstraction_source)
@@ -265,15 +276,16 @@ def build_data_space(sim, catalog: FeatureCatalog, height: int = 2,
     """Sweep the kept-edge count and keep the graph with maximal decodable info.
 
     The sweep runs from the smallest count giving a connected graph up to
-    every positive pair; ties prefer the smaller count.  The catalog and
-    the abstraction source are checked before the sweep, right after the
-    matrix, whose size gives the default ids.
+    every positive pair; ties prefer the smaller count.  The catalog, the
+    abstraction source and the height cap are checked before the sweep,
+    right after the matrix, whose size gives the default ids.
     """
     pairs = positive_pairs(sim)
     n = len(sim)
     ids = tuple(map(str, ids)) if ids is not None else tuple(str(i) for i in range(n))
     catalog.require_cover(ids)
     FeatureSet().pick(abstraction_source)
+    _check_height(height)
 
     k_min = smallest_connected(n, pairs)
     if k_min is None:
@@ -338,7 +350,8 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
         raise InvariantViolation("all similarities are zero")
     weights.sort(key=lambda t: (-t[0], t[1]))
 
-    features = FeatureSet(frozenset(map(str, syntax)), frozenset(map(str, semantics)))
+    features = FeatureSet(frozenset(map(str, _tokens(syntax, "syntax"))),
+                          frozenset(map(str, _tokens(semantics, "semantics"))))
     target = choose_abstraction(ds, features.pick(ds.abstraction_source))
     h_before = structural_entropy(g, ds.decoder)
     x = g.n
@@ -464,10 +477,7 @@ def classify_by_abstraction(abstraction_sets: Sequence[tuple[str, Iterable[str]]
     best_label = None
     best_mean = -float("inf")
     for label, tokens in abstraction_sets:
-        if isinstance(tokens, str):
-            raise InvariantViolation(f"abstraction set for label {label!r} is a string, "
-                                     "not a collection of tokens")
-        tokens = tuple(tokens)
+        tokens = tuple(_tokens(tokens, f"abstraction set for label {label!r}"))
         if not tokens:
             raise InvariantViolation(f"empty abstraction set for label {label!r}")
         mean = left_sum(float(sample.get(tok, 0.0)) for tok in tokens) / len(tokens)

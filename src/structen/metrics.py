@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InvariantViolation
 from .graph import (Graph, VertexSet, check_distribution, conductance_exact,
-                    cut_weight, left_sum, one_dim_entropy, subset_volume)
+                    cut_weight, format_real, left_sum, one_dim_entropy, real_weight,
+                    subset_volume)
 from .tree import EncodingTree, TreeNode, check_valid, fold, leaf_chains
 
 IDENTITY_TOL = 1e-9
@@ -50,8 +51,8 @@ class ModuleFunction:
         if self.kind == "volume":
             return subset_volume(g, marker)
         if self.kind == "custom" and self.fn is not None:
-            value = float(self.fn(marker))
-            if value < 0:
+            value = real_weight(self.fn(marker), "module function value")
+            if not 0 <= value < math.inf:
                 raise InvariantViolation(f"module function returned {value!r} on {sorted(marker)}")
             return value
         raise InvariantViolation(f"unknown module function kind {self.kind!r}")
@@ -191,7 +192,7 @@ class InfoReport:
                 "decode": self.decode, "ratio": self.ratio}
 
     def to_text(self) -> str:
-        lines = [f"{k} {v:.9f}" for k, v in self.to_dict().items()]
+        lines = [f"{k} {format_real(v)}" for k, v in self.to_dict().items()]
         return "\n".join(lines) + "\n"
 
 

@@ -48,9 +48,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
-from .graph import Graph, left_sum, one_dim_entropy
+from .graph import Graph, format_real, is_integer, left_sum, one_dim_entropy, vertex_set
 from .metrics import cached_entropy, structural_entropy
-from .tree import (EncodingTree, TreeNode, build_tree, format_path, parse_path,
+from .tree import (EncodingTree, TreeNode, build_tree, check_valid, format_path, parse_path,
                    refresh_stats, star_tree)
 
 DELTA_TOL = 1e-12
@@ -66,7 +66,8 @@ class TraceStep:
     delta: float
 
     def format(self, step: int) -> str:
-        return f"{step} {self.kind} {format_path(self.a)} {format_path(self.b)} {self.delta:.9f}"
+        return (f"{step} {self.kind} {format_path(self.a)} {format_path(self.b)} "
+                f"{format_real(self.delta)}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,9 @@ class OptimizeResult:
 
 def cross_weight(g: Graph, a, b) -> float:
     """Total edge weight between two disjoint vertex sets, folded in edge order."""
-    a, b = frozenset(a), frozenset(b)
+    a, b = vertex_set(g, a), vertex_set(g, b)
+    if a & b:
+        raise InvariantViolation("cross_weight needs disjoint vertex sets")
     return left_sum(w for u, v, w in g.edges if u in a and v in b or u in b and v in a)
 
 
@@ -111,6 +114,7 @@ def merge_delta(g: Graph, t: EncodingTree, a, b) -> float:
     pa, pb = tuple(a), tuple(b)
     if not pa or not pb or pa[:-1] != pb[:-1] or pa == pb:
         raise InvariantViolation("merge_delta needs two distinct sibling nodes")
+    check_valid(g, t)
     na, nb = t.node_at(pa), t.node_at(pb)
     if max(na.height(), nb.height()) > 1:
         raise InvariantViolation("merge_delta needs flat modules (children must be leaves)")
@@ -151,12 +155,14 @@ def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None
     pa, pb = tuple(a), tuple(b)
     if not pa or not pb or pa[:-1] != pb[:-1] or pa == pb:
         raise InvariantViolation("combine_apply needs two distinct sibling nodes")
+    check_valid(g, t)
     out = t.copy()
     parent = out.node_at(pa[:-1])
     if len(parent.children) < 3:
         raise InvariantViolation("combine would leave the parent with a single child")
     na, nb = out.node_at(pa), out.node_at(pb)
     if height_cap is not None:
+        _check_height(height_cap)
         depth = len(pa) - 1
         new_height = depth + 2 + max(na.height(), nb.height())
         if new_height > height_cap:
@@ -167,6 +173,14 @@ def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None
     parent.children = [new, *(c for c in parent.children if c is not na and c is not nb)]
     parent.children.sort(key=TreeNode.min_vertex)  # a user's tree may be unordered
     return out
+
+
+def _check_height(k) -> None:
+    """The one check of a height cap: an integer, not a bool, of at least 2."""
+    if not is_integer(k):
+        raise InvariantViolation(f"height cap {k!r} is not an integer")
+    if k < 2:
+        raise InvariantViolation("height cap must be at least 2")
 
 
 def minimize_2d(g: Graph) -> OptimizeResult:
@@ -446,8 +460,7 @@ def minimize_kd(g: Graph, k: int) -> OptimizeResult:
     polishes with capped moves.  Merge and combine trace deltas are
     positive; flatten deltas are the (non-positive) exact entropy change.
     """
-    if k < 2:
-        raise InvariantViolation("height cap must be at least 2")
+    _check_height(k)
     shape = _Shape(g)
     trace: list[TraceStep] = []
     _greedy_phase(g, shape, None, trace)
@@ -511,12 +524,13 @@ def replay_trace(g: Graph, trace) -> EncodingTree:
     return t
 
 
-def brute_force_2d(g: Graph, max_n: int = 10) -> OptimizeResult:
-    """Exact two-level optimum: `brute_force_kd` at height 2."""
+def brute_force_2d(g: Graph, max_n: int | None = None) -> OptimizeResult:
+    """Exact two-level optimum: `brute_force_kd` at height 2, with the size
+    guard it takes there."""
     return brute_force_kd(g, 2, max_n=max_n)
 
 
-def brute_force_kd(g: Graph, k: int, max_n: int = 6, max_k: int = 3) -> OptimizeResult:
+def brute_force_kd(g: Graph, k: int, max_n: int | None = None, max_k: int = 3) -> OptimizeResult:
     """Exact optimum over all encoding trees of height at most k, by a subset DP.
 
     F(S, h), the least cost of a subtree on marker S within height h, is the
@@ -528,10 +542,12 @@ def brute_force_kd(g: Graph, k: int, max_n: int = 6, max_k: int = 3) -> Optimize
 
     Tie rule: among the trees whose cost is within DELTA_TOL of the optimum,
     the first in canonical order wins: children by marker as a sorted tuple,
-    compared depth-first.  The guards are configurable.
+    compared depth-first.  The guards are configurable: `max_n` defaults
+    to 10 vertices at height 2 and 6 above, and `max_k` to 3.
     """
-    if k < 2:
-        raise InvariantViolation("height cap must be at least 2")
+    _check_height(k)
+    if max_n is None:
+        max_n = 10 if k == 2 else 6
     if g.n > max_n:
         raise SizeGuardExceeded(f"exact oracle limited to {max_n} vertices (got {g.n})")
     if k > max_k:

@@ -87,6 +87,28 @@ class TestEntropyCommand:
                        "module a b c\n"
                        "module d e f\n")
 
+    def test_star_report_prints_unsigned_zero(self, files, capsys):
+        star = files / "star.json"
+        star.write_text(json.dumps({"children": [{"vertex": v} for v in "pqrs"]}),
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "entropy", "--graph", files / "k4.tsv", "--tree", star)
+        assert code == 0
+        assert out == ("h1 2.000000000\n"
+                       "h_t 2.000000000\n"
+                       "compress 0.000000000\n"
+                       "decode 0.000000000\n"
+                       "ratio 0.000000000\n")
+
+    @pytest.mark.parametrize("error, code", [
+        (st.GraphParseError, 1), (st.InvariantViolation, 2), (st.SizeGuardExceeded, 3),
+        (FileNotFoundError, 1)])
+    def test_each_error_type_exits_with_its_code(self, files, capsys, monkeypatch, error, code):
+        def fail(path):
+            raise error("boom")
+
+        monkeypatch.setattr("structen.cli.load_graph", fail)
+        assert run(capsys, "entropy", "--graph", files / "k4.tsv") == (code, "", "error: boom\n")
+
     def test_parse_error_exit_1(self, files, capsys):
         bad = files / "bad.tsv"
         bad.write_text("a b c d\n", encoding="utf-8")

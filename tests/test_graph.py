@@ -8,7 +8,7 @@ import pytest
 import structen as st
 from structen import GraphParseError, InvariantViolation, SizeGuardExceeded
 
-from structen.graph import left_sum, positive_pairs
+from structen.graph import format_real, left_sum, positive_pairs
 
 from conftest import complete_graph, random_connected_graph
 
@@ -106,6 +106,10 @@ class TestCutAndConductance:
         with pytest.raises(InvariantViolation, match="^subset contains an out-of-range vertex$"):
             st.cut_weight(triangle, {5})
 
+    def test_volume_of_every_or_no_vertex(self, triangle):
+        assert st.subset_volume(triangle, range(3)) == triangle.volume
+        assert st.subset_volume(triangle, set()) == 0.0
+
     def test_conductance_subset_examples(self, k4, barbell, p3):
         assert st.conductance_subset(k4, {0, 1}) == pytest.approx(4 / 6)
         assert st.conductance_subset(barbell, {0, 1, 2}) == pytest.approx(1 / 7)
@@ -191,6 +195,12 @@ class TestEntropy:
         for x in (10 ** 400, math.inf, math.nan):
             with pytest.raises(InvariantViolation, match="non-finite"):
                 st.shannon_entropy([x, 0])
+
+    @pytest.mark.parametrize("x, text", [
+        (1.5, "1.500000000"), (-0.0, "0.000000000"), (-4e-10, "0.000000000"),
+        (-6e-10, "-0.000000001"), (2 / 3, "0.666666667"), (math.inf, "inf")])
+    def test_format_real_nine_decimals_unsigned_zero(self, x, text):
+        assert format_real(x) == text
 
     def test_left_sum_folds_left_to_right(self):
         # a compensated sum (builtin sum from CPython 3.12) gives 2.0 here
@@ -398,6 +408,17 @@ INPUT_CHECKS = {
                               "similarity matrix must be square"),
     "one-row similarity": (lambda: positive_pairs(np.zeros((1, 1))),
                            "similarity matrix needs at least 2 rows"),
+    "top-k of a float k": (lambda: st.build_topk_graph(EXAMPLE_SIM, 3.0),
+                           "k=3.0 is not an integer"),
+    "top-k of a bool k": (lambda: st.build_topk_graph(EXAMPLE_SIM, True),
+                          "k=True is not an integer"),
+    # vertex sets hold non-bool integer indices in range
+    "volume of vertex -1": (lambda: st.subset_volume(complete_graph(3), {-1}),
+                            "subset contains an out-of-range vertex"),
+    "volume of a vertex past the last": (lambda: st.subset_volume(complete_graph(3), {7}),
+                                         "subset contains an out-of-range vertex"),
+    "cut of vertex True": (lambda: st.cut_weight(complete_graph(3), {True}),
+                           "subset contains an out-of-range vertex"),
 }
 
 

@@ -171,6 +171,10 @@ class TestDataSpaceFeatureTrees:
         with pytest.raises(InvariantViolation, match="unknown feature source 'tags'"):
             st.DataSpace.from_decoder(g, tree, catalog, construction_k=3, height=2,
                                       abstraction_source="tags")
+        for height in (2.5, None, True):
+            with pytest.raises(InvariantViolation) as err:
+                st.DataSpace.from_decoder(g, tree, catalog, construction_k=3, height=height)
+            assert str(err.value) == f"space height {height!r} is not an integer"
 
     @pytest.mark.parametrize("source", ["all", "syntax", "semantics"])
     def test_trees_equal_direct_builds_and_are_built_once(self, source):
@@ -275,6 +279,13 @@ class TestChooseAbstraction:
         assert node.features == {"a", "b", "c"}
         assert node.vertices == {0}
 
+    def test_string_query_rejected(self, worked_example):
+        # "ab" would otherwise be read as the tokens "a" and "b"
+        ds = _space(*worked_example)
+        with pytest.raises(InvariantViolation) as err:
+            st.choose_abstraction(ds, "ab")
+        assert str(err.value) == "feature query is a string, not a collection of tokens"
+
     def test_irrelevant_tokens_do_not_change_choice(self, worked_example):
         g, tree, catalog = worked_example
         ds = _space(g, tree, catalog)
@@ -368,6 +379,11 @@ class TestBuildDataSpace:
             st.build_data_space(sim, lettered, height=2, ids="abcdefgh")
         with pytest.raises(InvariantViolation, match="unknown feature source 'bogus'"):
             st.build_data_space(sim, full, height=2, abstraction_source="bogus")
+        for height, message in ((2.5, "height cap 2.5 is not an integer"),
+                                (1, "height cap must be at least 2")):
+            with pytest.raises(InvariantViolation) as err:
+                st.build_data_space(sim, full, height=height)
+            assert str(err.value) == message
 
 
 class TestInsertPoint:
@@ -530,6 +546,13 @@ class TestInsertPoint:
     def test_unknown_similarity_target_rejected(self, block_space):
         with pytest.raises(InvariantViolation, match="unknown vertex"):
             st.insert_point(block_space, "x", {"nope": 1.0})
+
+    @pytest.mark.parametrize("key", ["syntax", "semantics"])
+    def test_string_tokens_rejected(self, block_space, key):
+        # syntax="b1" would otherwise store the tokens "b" and "1"
+        with pytest.raises(InvariantViolation) as err:
+            st.insert_point(block_space, "x", {"0": 0.5}, **{key: "b1"})
+        assert str(err.value) == f"{key} is a string, not a collection of tokens"
 
     @pytest.mark.parametrize("sims, message", [
         ({0: 0.5, "0": 0.7}, "duplicate edge '0'-'x'"),   # one vertex named twice

@@ -114,6 +114,20 @@ class TestModuleEntropy:
         with pytest.raises(InvariantViolation, match="module function"):
             st.module_entropy(k4, t, f)
 
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "module function returned nan on [0]"),
+        (math.inf, "module function returned inf on [0]"),
+        (10 ** 400, "module function returned inf on [0]"),  # beyond the float range
+        ("2.5", "module function value is not a real number"),
+        (True, "module function value is not a real number"),  # would count as 1.0
+        (None, "module function value is not a real number"),
+    ], ids=["nan", "inf", "huge int", "string", "bool", "none"])
+    def test_custom_value_must_be_a_finite_non_negative_real(self, k4, value, message):
+        f = ModuleFunction.custom(lambda marker: value)
+        with pytest.raises(InvariantViolation) as err:
+            st.module_entropy(k4, st.star_tree(k4), f)
+        assert str(err.value) == message
+
     def test_cut_and_volume_functions_read_the_graph(self, barbell):
         for marker in ({0}, {0, 1, 2}, {2, 3}, {1, 4, 5}):
             assert ModuleFunction.cut()(barbell, marker) == st.cut_weight(barbell, marker)

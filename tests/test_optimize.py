@@ -351,6 +351,10 @@ class TestTraceContract:
             assert len(fields) == 5
             assert "." in fields[4] and len(fields[4].split(".")[1]) == 9
 
+    def test_zero_delta_prints_unsigned(self):
+        # a flatten over no internal weight logs -0.0
+        assert st.TraceStep("flatten", (0,), (), -0.0).format(3) == "3 flatten 0 root 0.000000000"
+
 
 class TestPlantedRecovery:
     @pytest.mark.parametrize("size", [3, 4, 5])
@@ -421,6 +425,13 @@ class TestBruteForceKd:
             st.brute_force_kd(barbell, 4)
         with pytest.raises(InvariantViolation, match="^height cap must be at least 2$"):
             st.brute_force_kd(barbell, 1)
+
+    def test_height_2_guard_is_10_vertices(self):
+        g = random_connected_graph(random.Random(27), 9, 9)
+        assert st.brute_force_kd(g, 2).tree == st.brute_force_2d(g).tree
+        with pytest.raises(SizeGuardExceeded) as err:
+            st.brute_force_kd(two_cliques(6), 2)
+        assert str(err.value) == "exact oracle limited to 10 vertices (got 12)"
 
     def test_tie_rule_p3(self, p3):
         # [[0], [1, 2]] and [[0, 1], [2]] tie; the canonical order puts (0,) first
@@ -514,6 +525,9 @@ class TestDecodingInfoK:
             assert st.compressing_info(g, res.tree) >= -1e-12
 
 
+CYCLE4 = st.Graph.from_index_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+HEAVY_CYCLE4 = st.Graph.from_index_edges(4, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+
 INPUT_CHECKS = {
     # id -> (call, message); each call raises InvariantViolation
     "merge of a non-flat module": (
@@ -526,6 +540,29 @@ INPUT_CHECKS = {
                                 "rho must lie in (0, 1)"),
     "compressible below height 2": (lambda: st.is_compressible(two_cliques(2), 4, 1, 0.5),
                                     "k must be at least 2"),
+    # a height cap is a non-bool integer everywhere one is taken
+    "greedy at a fractional height": (lambda: st.minimize_kd(two_cliques(2), 2.5),
+                                      "height cap 2.5 is not an integer"),
+    "greedy without a height": (lambda: st.minimize_kd(two_cliques(2), None),
+                                "height cap None is not an integer"),
+    "greedy at height True": (lambda: st.minimize_kd(two_cliques(2), True),
+                              "height cap True is not an integer"),
+    "oracle at a fractional height": (lambda: st.brute_force_kd(two_cliques(2), 2.5),
+                                      "height cap 2.5 is not an integer"),
+    "combine under a fractional cap": (
+        lambda: st.combine_apply(two_cliques(2), st.star_tree(two_cliques(2)), (0,), (1,),
+                                 height_cap=2.5),
+        "height cap 2.5 is not an integer"),
+    # stats cached from a reweighted copy: a delta of 0.184 instead of 0.25
+    "merge on stale stats": (lambda: st.merge_delta(CYCLE4, st.star_tree(HEAVY_CYCLE4), (0,), (1,)),
+                             "invalid encoding tree: stale cached stats (vol 10.0 vs 8.0) at root"),
+    "combine on stale stats": (
+        lambda: st.combine_apply(CYCLE4, st.star_tree(HEAVY_CYCLE4), (0,), (1,)),
+        "invalid encoding tree: stale cached stats (vol 10.0 vs 8.0) at root"),
+    "cross weight from vertex -1": (lambda: cross_weight(CYCLE4, {-1}, {0}),
+                                    "subset contains an out-of-range vertex"),
+    "cross weight of overlapping sets": (lambda: cross_weight(CYCLE4, {0, 1}, {1, 2}),
+                                         "cross_weight needs disjoint vertex sets"),
 }
 
 
