@@ -12,10 +12,10 @@ import io
 import math
 import numbers
 from functools import reduce
-from operator import add
+from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-if TYPE_CHECKING:  # numpy loads only where a similarity matrix is read
+if TYPE_CHECKING:  # numpy loads only inside load_similarity_csv
     import numpy as np
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
 
@@ -27,13 +27,13 @@ _DISTRIBUTION_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
 
 
-def left_sum(values: Iterable[float], start: float = 0.0) -> float:
-    """Left-to-right float sum: ((start + a) + b) + ..., on every CPython.
+def left_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum: ((0.0 + a) + b) + ..., on every CPython.
 
     From 3.12 on, the builtin `sum` compensates float rounding, so it would
     no longer match a running `total += w`.
     """
-    return reduce(add, values, start)
+    return reduce(add, values, 0.0)
 
 
 def is_integer(x) -> bool:
@@ -304,10 +304,12 @@ def conductance_exact(g: Graph, max_n: int = 24) -> tuple[float, VertexSet]:
 
 
 def check_distribution(p: Sequence[float]) -> tuple[float, ...]:
-    try:
-        p = tuple(map(float, p))
-    except OverflowError:  # an integer beyond the float range
-        raise InvariantViolation("distribution has a non-finite entry") from None
+    """`p` as a tuple of floats, each entry read by `real_weight`, after the
+    checks every distribution must pass: nonempty, finite, no negative
+    entry, and a sum within 1e-9 of 1."""
+    p = tuple(p)
+    if {*map(type, p)} != {float}:  # all floats, as in insert's count sweep: no call per entry
+        p = tuple([real_weight(x, "distribution entry") for x in p])
     if not p:
         raise InvariantViolation("empty distribution")
     if not all(map(math.isfinite, p)):
@@ -331,31 +333,33 @@ def one_dim_entropy(g: Graph) -> float:
     return shannon_entropy(tuple(d / g.volume for d in g.degree))
 
 
-def _check_similarity(sim) -> np.ndarray:
-    import numpy as np
+def _check_similarity(sim) -> list[list[float]]:
+    """`sim` as rows of floats, each cell read by `real_weight`, after the
+    checks every similarity matrix must pass: square, at least 2 rows,
+    finite, symmetric to 1e-9, and no negative cell off the diagonal."""
     try:
-        a = np.asarray(sim, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise InvariantViolation("similarity matrix has a non-finite entry") from None
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        n = len(sim)
+        rows = [[real_weight(x, "similarity matrix cell") for x in row] for row in sim]
+    except TypeError:  # sim, or one of its rows, is not a sequence
+        raise InvariantViolation("similarity matrix must be square") from None
+    if any(len(row) != n for row in rows):
         raise InvariantViolation("similarity matrix must be square")
-    if a.shape[0] < 2:
+    if n < 2:
         raise InvariantViolation("similarity matrix needs at least 2 rows")
-    if not np.isfinite(a).all():
+    if not all(all(map(math.isfinite, row)) for row in rows):
         raise InvariantViolation("similarity matrix has a non-finite entry")
-    if np.abs(a - a.T).max() > _SYMMETRY_TOL:
+    if any(max(map(abs, map(sub, r, c))) > _SYMMETRY_TOL for r, c in zip(rows, zip(*rows))):
         raise InvariantViolation("similarity matrix is not symmetric")
-    off = a - np.diag(np.diag(a))
-    if off.min() < 0:
+    if any(min(row[:i] + row[i + 1:]) < 0 for i, row in enumerate(rows)):
         raise InvariantViolation("similarity matrix has a negative entry")
-    return a
+    return rows
 
 
 def positive_pairs(sim) -> list[tuple[float, int, int]]:
     """Off-diagonal pairs with positive weight, heaviest first, index ties first."""
-    a = _check_similarity(sim)
-    n = a.shape[0]
-    pairs = [(float(a[i, j]), i, j) for i in range(n) for j in range(i + 1, n) if a[i, j] > 0]
+    rows = _check_similarity(sim)
+    pairs = [(w, i, j) for i, row in enumerate(rows)
+             for j, w in enumerate(row[i + 1:], start=i + 1) if w > 0]
     pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
     return pairs
 

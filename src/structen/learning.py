@@ -11,7 +11,6 @@ local entropy-driven re-fit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -27,10 +26,17 @@ from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_ch
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Feature tokens of one data point, split into syntax and semantics."""
+    """Feature tokens of one data point, split into syntax and semantics.
+    Each is given as a collection of tokens, not one string, and stored as
+    a frozenset of strings."""
 
     syntax: frozenset = frozenset()
     semantics: frozenset = frozenset()
+
+    def __post_init__(self):
+        for name in ("syntax", "semantics"):
+            tokens = frozenset(map(str, _tokens(getattr(self, name), name)))
+            object.__setattr__(self, name, tokens)
 
     @property
     def all(self) -> frozenset:
@@ -80,8 +86,7 @@ class FeatureCatalog:
             semantics = entry.get("semantics", [])
             if not isinstance(syntax, list) or not isinstance(semantics, list):
                 raise GraphParseError(f"feature catalog: token lists expected for {vid!r}")
-            entries[str(vid)] = FeatureSet(frozenset(map(str, syntax)),
-                                           frozenset(map(str, semantics)))
+            entries[str(vid)] = FeatureSet(syntax, semantics)
         return cls(entries)
 
     def to_dict(self) -> dict:
@@ -251,11 +256,15 @@ class DataSpace:
                      construction_k: int, height: int, sweep=(),
                      abstraction_source: str = "syntax") -> "DataSpace":
         """Space over a given graph and decoder.  A catalog that misses a
-        vertex, an unknown abstraction source, or a height that is not an
-        integer is rejected here."""
+        vertex, an unknown abstraction source, a height or construction
+        count that is not an integer, or a decoder that is not a partition
+        tree over the graph's vertices is rejected here."""
         catalog.require_cover(g.vertex_ids)
         if not is_integer(height):
             raise InvariantViolation(f"space height {height!r} is not an integer")
+        if not is_integer(construction_k):
+            raise InvariantViolation(f"construction_k {construction_k!r} is not an integer")
+        leaf_chains(decoder, g.n)
         FeatureSet().pick(abstraction_source)
         return cls(g, decoder, catalog, construction_k, height, tuple(sweep),
                    abstraction_source)
@@ -350,8 +359,7 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
         raise InvariantViolation("all similarities are zero")
     weights.sort(key=lambda t: (-t[0], t[1]))
 
-    features = FeatureSet(frozenset(map(str, _tokens(syntax, "syntax"))),
-                          frozenset(map(str, _tokens(semantics, "semantics"))))
+    features = FeatureSet(syntax, semantics)
     target = choose_abstraction(ds, features.pick(ds.abstraction_source))
     h_before = structural_entropy(g, ds.decoder)
     x = g.n
@@ -466,13 +474,13 @@ def classify_by_abstraction(abstraction_sets: Sequence[tuple[str, Iterable[str]]
     input order.  Every sample value must be a finite real number, not a
     bool, and every token set a collection of tokens, not one string.
     """
+    values = {}
     for tok, value in sample.items():
         try:
-            finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                      and math.isfinite(value))
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
+            values[tok] = real_weight(value, "sample value")
+        except InvariantViolation:
+            values[tok] = math.nan
+        if not math.isfinite(values[tok]):
             raise InvariantViolation(f"sample value for {tok!r} is not a finite number")
     best_label = None
     best_mean = -float("inf")
@@ -480,7 +488,7 @@ def classify_by_abstraction(abstraction_sets: Sequence[tuple[str, Iterable[str]]
         tokens = tuple(_tokens(tokens, f"abstraction set for label {label!r}"))
         if not tokens:
             raise InvariantViolation(f"empty abstraction set for label {label!r}")
-        mean = left_sum(float(sample.get(tok, 0.0)) for tok in tokens) / len(tokens)
+        mean = left_sum(values.get(tok, 0.0) for tok in tokens) / len(tokens)
         if mean > best_mean:
             best_mean, best_label = mean, label
     if best_label is None:

@@ -48,7 +48,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
-from .graph import Graph, format_real, is_integer, left_sum, one_dim_entropy, vertex_set
+from .graph import (Graph, format_real, is_integer, left_sum, one_dim_entropy, real_weight,
+                    vertex_set)
 from .metrics import cached_entropy, structural_entropy
 from .tree import (EncodingTree, TreeNode, build_tree, check_valid, format_path, parse_path,
                    refresh_stats, star_tree)
@@ -636,7 +637,7 @@ def compressing_ratio_k(g: Graph, k: int) -> float:
 
 def is_compressible(g: Graph, n: int, k: int, rho: float) -> bool:
     """Whether g is an (n, k, rho)-compressible graph."""
-    if not 0 < rho < 1:
+    if not 0 < real_weight(rho, "rho") < 1:
         raise InvariantViolation("rho must lie in (0, 1)")
     if k < 2:
         raise InvariantViolation("k must be at least 2")

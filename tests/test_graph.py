@@ -1,6 +1,10 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,3 +431,41 @@ def test_input_check(call, message):
     with pytest.raises(InvariantViolation) as err:
         call()
     assert str(err.value) == message
+
+
+CELL = "similarity matrix cell is not a real number"
+BAD_SIMILARITY = {
+    # id -> (matrix, message); every matrix reader rejects it with this message
+    "bool list": ([[False, True], [True, False]], CELL),        # would read as 0 and 1
+    "bool ndarray": (np.array([[False, True], [True, False]]), CELL),
+    "numeric strings": ([["0", "0.5"], ["0.5", "0"]], CELL),    # would parse as numbers
+    "x cell": ([[0, "x"], ["x", 0]], CELL),
+    "none cell": ([[0, None], [None, 0]], CELL),                # would read as nan
+    "complex cell": ([[0, 1j], [1j, 0]], CELL),
+    "ragged rows": ([[0, 1, 1], [1, 0], [1, 1, 0]], "similarity matrix must be square"),
+    "bare string": ("ab", CELL),
+}
+
+
+@pytest.mark.parametrize("read", [
+    positive_pairs,
+    lambda sim: st.build_topk_graph(sim, 1),
+    lambda sim: st.build_data_space(sim, st.FeatureCatalog({"0": st.FeatureSet(),
+                                                            "1": st.FeatureSet()})),
+], ids=["positive_pairs", "build_topk_graph", "build_data_space"])
+@pytest.mark.parametrize("sim, message", BAD_SIMILARITY.values(), ids=BAD_SIMILARITY.keys())
+def test_bad_similarity_cell(read, sim, message):
+    with pytest.raises(InvariantViolation) as err:
+        read(sim)
+    assert str(err.value) == message
+
+
+def test_topk_graph_of_a_nested_list_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, structen; g = structen.build_topk_graph([[0, 1], [1, 0]], 1); "
+            "print(g.edges, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "((0, 1, 1.0),) False\n"), done.stderr

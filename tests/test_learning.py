@@ -176,6 +176,36 @@ class TestDataSpaceFeatureTrees:
                 st.DataSpace.from_decoder(g, tree, catalog, construction_k=3, height=height)
             assert str(err.value) == f"space height {height!r} is not an integer"
 
+    def test_from_decoder_checks_construction_count(self, worked_example):
+        g, tree, catalog = worked_example
+        for k in (2.5, True):
+            with pytest.raises(InvariantViolation) as err:
+                st.DataSpace.from_decoder(g, tree, catalog, construction_k=k, height=2)
+            assert str(err.value) == f"construction_k {k!r} is not an integer"
+
+    def test_from_decoder_checks_the_decoder_covers_the_graph(self, worked_example):
+        g, _, catalog = worked_example
+        square = st.Graph.from_index_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+        with pytest.raises(InvariantViolation) as err:
+            st.DataSpace.from_decoder(g, st.star_tree(square), catalog, construction_k=3, height=2)
+        assert str(err.value) == ("invalid encoding tree: root marker must be the whole "
+                                  "item set (at root)")
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"syntax": "b1"}, "syntax"),
+        ({"semantics": "x"}, "semantics"),
+    ], ids=["syntax", "semantics"])
+    def test_feature_set_of_a_string_rejected(self, kwargs, key):
+        # "b1" would otherwise be stored as is: pick("syntax") gave 'b1'
+        with pytest.raises(InvariantViolation) as err:
+            FeatureSet(**kwargs)
+        assert str(err.value) == f"{key} is a string, not a collection of tokens"
+
+    def test_feature_set_stores_frozensets_of_strings(self):
+        fs = FeatureSet(["a", 1], ("b",))
+        assert fs.syntax == frozenset({"a", "1"}) and fs.semantics == frozenset({"b"})
+        assert fs.all == frozenset({"a", "1", "b"}) and fs == FeatureSet({"1", "a"}, ["b"])
+
     @pytest.mark.parametrize("source", ["all", "syntax", "semantics"])
     def test_trees_equal_direct_builds_and_are_built_once(self, source):
         rng = random.Random(33)

@@ -175,6 +175,21 @@ class TestDistributionEntropy:
         with pytest.raises(InvariantViolation, match="non-finite"):
             st.distribution_entropy((10 ** 400, 0), items_tree([0, 1]))
 
+    @pytest.mark.parametrize("entropy", [
+        st.shannon_entropy,
+        lambda p: st.distribution_entropy(p, items_tree([0, 1])),
+    ], ids=["shannon", "tree"])
+    @pytest.mark.parametrize("p", [
+        [True, False],      # would read as 1 and 0
+        ["0.5", "0.5"],     # would parse as numbers
+        "ab",
+        [None, 1.0],
+    ], ids=["bools", "numeric strings", "bare string", "none"])
+    def test_entry_not_a_real_number_rejected(self, entropy, p):
+        with pytest.raises(InvariantViolation) as err:
+            entropy(p)
+        assert str(err.value) == "distribution entry is not a real number"
+
 
 class TestCompressingInfo:
     def test_barbell_two_part(self, barbell):

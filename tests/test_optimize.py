@@ -540,6 +540,8 @@ INPUT_CHECKS = {
                                 "rho must lie in (0, 1)"),
     "compressible below height 2": (lambda: st.is_compressible(two_cliques(2), 4, 1, 0.5),
                                     "k must be at least 2"),
+    "compressible with rho '0.5'": (lambda: st.is_compressible(two_cliques(2), 4, 2, "0.5"),
+                                    "rho is not a real number"),
     # a height cap is a non-bool integer everywhere one is taken
     "greedy at a fractional height": (lambda: st.minimize_kd(two_cliques(2), 2.5),
                                       "height cap 2.5 is not an integer"),
