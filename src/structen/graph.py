@@ -49,6 +49,15 @@ def format_real(x: float) -> str:
     return text[1:] if text[0] == "-" and float(text) == 0 else text
 
 
+def parse_real(text: str) -> float:
+    """A number as written in an input file: `float(text)`, except that a
+    digit separator is a ValueError, so a typo such as `1_5` is not read
+    as 15."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return float(text)
+
+
 def real_weight(w, what: str) -> float:
     """`w` as a float, inf for an integer beyond the float range; a value
     that is not a real number, or is a bool, raises InvariantViolation."""
@@ -216,7 +225,7 @@ def load_graph(path) -> Graph:
             raise InvariantViolation(f"{path}:{lineno}: self-loop at vertex {u!r}")
         if len(fields) == 3:
             try:
-                w = float(fields[2])
+                w = parse_real(fields[2])
             except ValueError:
                 raise GraphParseError(f"{path}:{lineno}: bad weight {fields[2]!r}") from None
         else:
@@ -426,7 +435,7 @@ def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
             raise GraphParseError(f"{path}: row {r + 2} identifier {row[0]!r} does not match header")
         for c, cell in enumerate(row[1:]):
             try:
-                values[r, c] = float(cell)
+                values[r, c] = parse_real(cell)
             except ValueError:
                 values[r, c] = math.nan
             if not math.isfinite(values[r, c]):

@@ -18,10 +18,11 @@ cross weight are candidates, deltas are evaluated locally, and ties break
 deterministically on (min vertex of A, min vertex of B) with merge
 preferred over combine.
 
-The phases are incremental and share one state per run, built from the
-star (`_Shape`): a parent map, cached subtree heights and min vertices,
+The phases are incremental and share one state per run (`_Shape`), built
+from the star: a parent map, cached subtree heights and min vertices,
 updated along the changed path only, for every sibling pair the indices
 of the edges between the two in `g.edges` order, and one stamp per node.
+`merge_delta` and `combine_apply` build the same state over a given tree.
 `_Shape` owns the step operators: `pair` merges or combines two siblings
 and `flatten` promotes a node's children; every phase and `replay_trace`
 apply steps through them, and they renew the stamp of every node that
@@ -48,8 +49,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
-from .graph import (Graph, format_real, is_integer, left_sum, one_dim_entropy, real_weight,
-                    vertex_set)
+from .graph import (Graph, format_real, is_integer, left_sum, one_dim_entropy, parse_real,
+                    real_weight, vertex_set)
 from .metrics import cached_entropy, structural_entropy
 from .tree import (EncodingTree, TreeNode, build_tree, check_valid, format_path, parse_path,
                    refresh_stats, star_tree)
@@ -116,12 +117,12 @@ def merge_delta(g: Graph, t: EncodingTree, a, b) -> float:
     if not pa or not pb or pa[:-1] != pb[:-1] or pa == pb:
         raise InvariantViolation("merge_delta needs two distinct sibling nodes")
     check_valid(g, t)
+    shape = _Shape(g, t)
     na, nb = t.node_at(pa), t.node_at(pb)
-    if max(na.height(), nb.height()) > 1:
+    if max(shape.height[na], shape.height[nb]) > 1:
         raise InvariantViolation("merge_delta needs flat modules (children must be leaves)")
-    parent = t.node_at(pa[:-1])
-    w = cross_weight(g, na.vertices, nb.vertices)
-    return _flat_merge_delta(g.volume, parent.vol, na.vol, na.cut, nb.vol, nb.cut, w)
+    w = left_sum(g.edges[i][2] for i in shape.rows[na].get(nb, ()))
+    return _flat_merge_delta(g.volume, shape.parent[na].vol, na.vol, na.cut, nb.vol, nb.cut, w)
 
 
 def _general_merge_delta(vol: float, parent: TreeNode, a: TreeNode, b: TreeNode,
@@ -157,23 +158,20 @@ def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None
     if not pa or not pb or pa[:-1] != pb[:-1] or pa == pb:
         raise InvariantViolation("combine_apply needs two distinct sibling nodes")
     check_valid(g, t)
-    out = t.copy()
-    parent = out.node_at(pa[:-1])
+    shape = _Shape(g, t.copy())
+    parent = shape.tree.node_at(pa[:-1])
     if len(parent.children) < 3:
         raise InvariantViolation("combine would leave the parent with a single child")
-    na, nb = out.node_at(pa), out.node_at(pb)
+    na, nb = shape.tree.node_at(pa), shape.tree.node_at(pb)
     if height_cap is not None:
         _check_height(height_cap)
         depth = len(pa) - 1
-        new_height = depth + 2 + max(na.height(), nb.height())
+        new_height = depth + 2 + max(shape.height[na], shape.height[nb])
         if new_height > height_cap:
             raise InvariantViolation(f"height cap exceeded ({new_height} > {height_cap})")
-    w = cross_weight(g, na.vertices, nb.vertices)
-    new = TreeNode(na.vertices | nb.vertices, na.vol + nb.vol, na.cut + nb.cut - 2.0 * w,
-                   sorted([na, nb], key=TreeNode.min_vertex))
-    parent.children = [new, *(c for c in parent.children if c is not na and c is not nb)]
-    parent.children.sort(key=TreeNode.min_vertex)  # a user's tree may be unordered
-    return out
+    shape.pair(1, na, nb)
+    parent.children.sort(key=shape.low.__getitem__)  # a user's tree may be unordered
+    return shape.tree
 
 
 def _check_height(k) -> None:
@@ -190,34 +188,49 @@ def minimize_2d(g: Graph) -> OptimizeResult:
 
 
 class _Shape:
-    """The greedy's one state per run, built from the star and edited in
-    place by every phase and by `replay_trace`: parent links, subtree
-    heights and min vertices (`low`), updated along the changed path only;
-    each vertex's leaf; `rows`, where rows[x][y] lists the indices of the
-    edges between siblings x and y in `g.edges` order (rows[y][x] is the
-    same list); and one `stamp` per live node, renewed whenever the node
-    moves or its children change, so that a heap entry scored before the
-    change can tell it is stale.  `pair` and `flatten` are the only step
-    operators; both keep every child list in `low` order.  Each kind of
-    edit has one home: `split` files every edge under its sibling pair, the
-    star's included; `pair` alone re-keys existing rows onto a new node;
-    and past the star, `adopt` sets every parent link and renews every
-    stamp."""
+    """The greedy's one state per run, built from the star or from a valid
+    tree, not checked again, and edited in place by every phase and by
+    `replay_trace` and `combine_apply`: parent links, subtree heights and
+    min vertices (`low`), updated along the changed path only; each
+    vertex's leaf; `rows`, where rows[x][y] lists the indices of the edges
+    between siblings x and y in `g.edges` order (rows[y][x] is the same
+    list); and one `stamp` per live node, renewed whenever the node moves
+    or its children change, so that a heap entry scored before the change
+    can tell it is stale.  `pair` and `flatten`, the only step operators,
+    keep every child list that was in `low` order in it.  Each kind of
+    edit has one home: `split` files every edge under its sibling pair,
+    the starting tree's included; `pair` alone re-keys rows onto a new
+    node; and past the start, `adopt` sets every parent link and stamp."""
 
     __slots__ = ("tree", "edges", "leaf", "parent", "height", "low", "rows", "stamp", "tick")
 
-    def __init__(self, g: Graph):
-        self.tree = star_tree(g)
-        root = self.tree.root
+    def __init__(self, g: Graph, tree: EncodingTree | None = None):
+        self.tree = star_tree(g) if tree is None else tree
         self.edges = g.edges
-        self.leaf = tuple(root.children)  # vertex -> leaf
-        self.parent: dict[TreeNode, TreeNode] = dict.fromkeys(self.leaf, root)
-        self.height: dict[TreeNode, int] = {root: 1, **dict.fromkeys(self.leaf, 0)}
-        self.low: dict[TreeNode, int] = {root: 0, **{c: c.vertex for c in self.leaf}}
-        self.rows: dict[TreeNode, dict[TreeNode, list[int]]] = {node: {} for node in self.height}
-        self.split(range(len(g.edges)), root)  # each edge joins two sibling leaves
+        order = [self.tree.root]  # breadth-first, so every node follows its parent
+        for node in order:
+            order.extend(node.children)
+        self.parent: dict[TreeNode, TreeNode] = {c: up for up in order for c in up.children}
+        self.height: dict[TreeNode, int] = dict.fromkeys(order, 0)
+        self.low: dict[TreeNode, int] = {}
+        for node in reversed(order):
+            if node.children:
+                self.height[node] = 1 + max(map(self.height.__getitem__, node.children))
+                self.low[node] = min(map(self.low.__getitem__, node.children))
+            else:
+                self.low[node] = node.vertex
+        self.leaf = sorted((x for x in order if x.is_leaf), key=self.low.__getitem__)
+        self.rows: dict[TreeNode, dict[TreeNode, list[int]]] = {node: {} for node in order}
+        branches: dict[TreeNode, list[int]] = {}
+        for i, (u, v, _) in enumerate(g.edges):
+            up = self.leaf[u]
+            while v not in up.vertices:  # climb to the branch point of u and v
+                up = self.parent[up]
+            branches.setdefault(up, []).append(i)
+        for up, ids in branches.items():
+            self.split(ids, up)
         self.tick = itertools.count()
-        self.stamp: dict[TreeNode, int] = {node: next(self.tick) for node in self.height}
+        self.stamp: dict[TreeNode, int] = {node: next(self.tick) for node in order}
 
     def depth(self, node: TreeNode) -> int:
         d = 0
@@ -312,9 +325,10 @@ class _Shape:
 
     def split(self, between: Iterable[int], up: TreeNode) -> None:
         """File edges, in order, under the pair of children of `up` that they
-        now join: the star's edges, the edges between a merge's or a
-        combine's operands, and a flattened node's rows.  Every such pair
-        must be new to `rows`, so each of its lists stays ascending."""
+        now join: the starting tree's edges at their branch points, the
+        edges between a merge's or a combine's operands, and a flattened
+        node's rows.  Every such pair must be new to `rows`, so each of its
+        lists stays ascending."""
         parent, rows = self.parent, self.rows
         for i in between:
             u, v, _ = self.edges[i]
@@ -479,7 +493,7 @@ def parse_trace(text: str) -> tuple[TraceStep, ...]:
             if len(fields) != 5 or fields[0] != str(len(steps)) or fields[1] not in _STEP_KINDS:
                 raise ValueError
             steps.append(TraceStep(fields[1], parse_path(fields[2]), parse_path(fields[3]),
-                                   float(fields[4])))
+                                   parse_real(fields[4])))
         except ValueError:
             raise GraphParseError(f"trace line {lineno}: expected "
                                   f"'{len(steps)} <kind> <pathA> <pathB> <delta>'") from None
@@ -639,6 +653,5 @@ def is_compressible(g: Graph, n: int, k: int, rho: float) -> bool:
     """Whether g is an (n, k, rho)-compressible graph."""
     if not 0 < real_weight(rho, "rho") < 1:
         raise InvariantViolation("rho must lie in (0, 1)")
-    if k < 2:
-        raise InvariantViolation("k must be at least 2")
+    _check_height(k)
     return g.n == n and compressing_ratio_k(g, k) >= rho

@@ -485,6 +485,8 @@ BAD_DOCUMENTS = {
                       "bad.txt: row 2 has 2 fields, expected 3"),
     "csv row id": (BUILD_FROM_BAD, ",a,b\na,0,1\nc,1,0\n",
                    "bad.txt: row 3 identifier 'c' does not match header"),
+    "weight with a digit separator": (("entropy", "--graph", "{}/bad.txt"), "a b 1_5\n",
+                                      "bad.txt:1: bad weight '1_5'"),
     "catalog not an object": (BUILD_WITH_BAD_FEATURES, "[]",
                               "feature catalog: expected an object of vertex entries"),
     "catalog entry not an object": (BUILD_WITH_BAD_FEATURES, '{"s0": 5}',

@@ -75,6 +75,9 @@ class TestLoadGraph:
     def test_bad_weight_reports_line(self, tmp_path):
         with pytest.raises(GraphParseError, match=":1:"):
             st.load_graph(write(tmp_path, "a b x\n"))
+        # float() would read 1_5 as 15
+        with pytest.raises(GraphParseError, match=r":2: bad weight '1_5'$"):
+            st.load_graph(write(tmp_path, "a b 1\nb c 1_5\n"))
 
     def test_first_appearance_order(self, tmp_path):
         g = st.load_graph(write(tmp_path, "z y 1\ny a 1\n"))
@@ -398,9 +401,9 @@ class TestSimilarityCsv:
         path.write_text(",a,b\na,0,x\nb,x,0\n", encoding="utf-8")
         with pytest.raises(GraphParseError, match="bad number"):
             st.load_similarity_csv(path)
-        for x in ("nan", "inf"):
+        for x in ("nan", "inf", "1_0"):  # float() would read 1_0 as 10
             path.write_text(f",a,b,c\na,0,1,{x}\nb,1,0,1\nc,{x},1,0\n", encoding="utf-8")
-            with pytest.raises(GraphParseError, match="bad number"):
+            with pytest.raises(GraphParseError, match=f"row 2: bad number '{x}'"):
                 st.load_similarity_csv(path)
 
 
@@ -444,6 +447,8 @@ BAD_SIMILARITY = {
     "complex cell": ([[0, 1j], [1j, 0]], CELL),
     "ragged rows": ([[0, 1, 1], [1, 0], [1, 1, 0]], "similarity matrix must be square"),
     "bare string": ("ab", CELL),
+    "none matrix": (None, "similarity matrix must be square"),
+    "int row": ([[0, 1], 3], "similarity matrix must be square"),
 }
 
 

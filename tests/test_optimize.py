@@ -5,11 +5,45 @@ import pytest
 import structen as st
 from structen import GraphParseError, InvariantViolation, SizeGuardExceeded
 from structen.optimize import cross_weight
+from structen.tree import TreeNode, fold
 
 from conftest import (assert_children_ordered, random_connected_graph, random_encoding_tree,
                       two_cliques)
 
 BARBELL_H2 = 1.6995138503199656
+
+
+def random_trees(rng, count):
+    """(graph, tree, ordered) from `random_encoding_tree`: every child list
+    sorted by min vertex in even draws, shuffled in odd ones."""
+    for draw in range(count):
+        g = random_connected_graph(rng, 4, 12)
+        t = random_encoding_tree(g, rng)
+        for _, node in t.walk():
+            if draw % 2:
+                rng.shuffle(node.children)
+            else:
+                node.children.sort(key=TreeNode.min_vertex)
+        yield g, t, draw % 2 == 0
+
+
+def as_list(spec):
+    return spec if isinstance(spec, list) else [spec]
+
+
+def edited_spec(t, path, i, j, fuse):
+    """t's spec with children i and j of the node at `path` replaced by
+    `fuse(a, b)` of their specs, in min-vertex order, and that node's
+    children sorted by min vertex."""
+    spec = fold(t.root, lambda node, kids: kids or node.vertex)
+    target = spec
+    for k in path:
+        target = target[k]
+    lows = [c.min_vertex() for c in t.node_at(path).children]
+    (_, a), (_, b) = sorted([(lows[i], target[i]), (lows[j], target[j])])
+    rest = [(low, s) for k, (low, s) in enumerate(zip(lows, target)) if k not in (i, j)]
+    target[:] = [s for _, s in sorted(rest + [(min(lows[i], lows[j]), fuse(a, b))])]
+    return spec
 
 
 class TestMergeDelta:
@@ -55,6 +89,24 @@ class TestMergeDelta:
         # (-1,) must not name the last child, or (3,) would be named twice
         with pytest.raises(InvariantViolation, match="no node at path -1"):
             st.merge_delta(cycle4, st.star_tree(cycle4), (-1,), (3,))
+
+    def test_matches_the_entropy_drop_on_random_trees(self):
+        rng = random.Random(23)
+        checked = 0
+        for g, t, _ in random_trees(rng, 240):
+            for path, node in t.walk():
+                flat = [k for k, c in enumerate(node.children) if c.height() <= 1]
+                if len(node.children) < 3 or len(flat) < 2:
+                    continue
+                i, j = rng.sample(flat, 2)
+                merged = edited_spec(t, path, i, j,
+                                     lambda a, b: sorted(as_list(a) + as_list(b)))
+                drop = st.structural_entropy(g, t) - st.structural_entropy(
+                    g, st.build_tree(g, merged))
+                assert st.merge_delta(g, t, path + (i,), path + (j,)) == pytest.approx(
+                    drop, abs=1e-9)
+                checked += 1
+        assert checked >= 100
 
 
 class TestCrossWeight:
@@ -108,6 +160,22 @@ class TestCombineApply:
     def test_negative_index_is_no_node(self, cycle4):
         with pytest.raises(InvariantViolation, match="no node at path -1"):
             st.combine_apply(cycle4, st.star_tree(cycle4), (-1,), (3,))
+
+    def test_matches_the_spec_on_random_trees(self):
+        rng = random.Random(24)
+        checked = 0
+        for g, t, ordered in random_trees(rng, 240):
+            for path, node in t.walk():
+                if len(node.children) < 3:
+                    continue
+                i, j = rng.sample(range(len(node.children)), 2)
+                out = st.combine_apply(g, t, path + (i,), path + (j,))
+                assert out == st.build_tree(g, edited_spec(t, path, i, j, lambda a, b: [a, b]))
+                assert st.validate(g, out) is None
+                if ordered:
+                    assert_children_ordered(out)
+                checked += 1
+        assert checked >= 100
 
     def test_unordered_parent_comes_back_ordered(self, k4):
         t = st.build_tree(k4, [[2, 3], 0, 1])
@@ -329,6 +397,7 @@ class TestTraceContract:
         "0 split 0 1 0.5\n",
         "0 merge 0.-1 1 0.5\n",
         "0 merge 0 1 half\n",
+        "0 merge 0 1 1_5\n",  # float() would read 15
     ])
     def test_parse_trace_rejects_malformed_lines(self, text):
         with pytest.raises(GraphParseError, match="trace line 1"):
@@ -539,7 +608,11 @@ INPUT_CHECKS = {
     "compressible with rho 1": (lambda: st.is_compressible(two_cliques(2), 4, 2, 1.0),
                                 "rho must lie in (0, 1)"),
     "compressible below height 2": (lambda: st.is_compressible(two_cliques(2), 4, 1, 0.5),
-                                    "k must be at least 2"),
+                                    "height cap must be at least 2"),
+    "compressible at height '3'": (lambda: st.is_compressible(two_cliques(2), 4, "3", 0.5),
+                                   "height cap '3' is not an integer"),
+    "compressible without a height": (lambda: st.is_compressible(two_cliques(2), 4, None, 0.5),
+                                      "height cap None is not an integer"),
     "compressible with rho '0.5'": (lambda: st.is_compressible(two_cliques(2), 4, 2, "0.5"),
                                     "rho is not a real number"),
     # a height cap is a non-bool integer everywhere one is taken

@@ -346,6 +346,23 @@ class TestDeepTrees:
         assert check_strict_growth(ds.abstractions) is None
         assert ds.abstractions.root.features == {"c"} and ds.abstractions.root.is_leaf
 
+    def test_merge_and_combine_on_a_caterpillar(self):
+        # the bottom node holds three leaves, 1500 levels down; merging or
+        # combining the last two gives the same tree
+        assert sys.getrecursionlimit() == 1000
+        depth = 1500
+        n = depth + 2
+        g = st.Graph.from_index_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        spec, paired = [n - 3, n - 2, n - 1], [n - 3, [n - 2, n - 1]]
+        for v in range(n - 4, -1, -1):
+            spec, paired = [v, spec], [v, paired]
+        t, expected = st.build_tree(g, spec), st.build_tree(g, paired)
+        a, b = (1,) * (depth - 1) + (1,), (1,) * (depth - 1) + (2,)
+        drop = st.structural_entropy(g, t) - st.structural_entropy(g, expected)
+        assert st.merge_delta(g, t, a, b) == pytest.approx(drop, abs=1e-9)
+        out = st.combine_apply(g, t, a, b)
+        assert out == expected and out.height() == depth + 1
+
 
 INPUT_CHECKS = {
     # id -> (call, message); each call raises InvariantViolation
