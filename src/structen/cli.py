@@ -133,8 +133,7 @@ def _space_from_doc(doc) -> DataSpace:
     g = Graph(doc["vertices"], edges)
     decoder = deserialize(g, doc["decoder"])
     catalog = FeatureCatalog.from_dict(doc["catalog"])
-    return DataSpace.from_decoder(g, decoder, catalog, doc["construction_k"], doc["height"], (),
-                                  source)
+    return DataSpace(g, decoder, catalog, doc["construction_k"], doc["height"], (), source)
 
 
 def cmd_insert(args) -> int:

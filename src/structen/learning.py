@@ -11,7 +11,7 @@ local entropy-driven re-fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -19,7 +19,7 @@ from .errors import GraphParseError, InvariantViolation
 from .graph import (Graph, is_integer, left_sum, one_dim_entropy, positive_pairs,
                     real_weight, shannon_entropy, smallest_connected)
 from .metrics import cached_entropy, node_terms, structural_entropy, term_sum
-from .optimize import _check_height, minimize_kd
+from .optimize import DELTA_TOL, _check_height, minimize_kd
 from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_chains,
                    refresh_stats, walk)
 
@@ -57,6 +57,9 @@ class FeatureCatalog:
 
     def __init__(self, entries: Mapping[str, FeatureSet] | None = None):
         self._entries: dict[str, FeatureSet] = dict(entries or {})
+        for vid, features in self._entries.items():
+            if not isinstance(features, FeatureSet):
+                raise InvariantViolation(f"catalog entry for vertex {vid!r} is not a FeatureSet")
 
     def entry(self, vid) -> FeatureSet:
         try:
@@ -135,6 +138,7 @@ def knowledge_tree(g: Graph, t: EncodingTree, catalog: FeatureCatalog,
                    source: str = "all") -> KnowledgeTree:
     """Annotate every tree node with the intersection of member feature sets."""
     catalog.require_cover(g.vertex_ids)
+    leaf_chains(t, g.n)
 
     def annotate(node: TreeNode, children) -> FeatureNode:
         if node.is_leaf:
@@ -251,23 +255,21 @@ class DataSpace:
     sweep: tuple[tuple[int, float], ...] = ()
     abstraction_source: str = "syntax"
 
-    @classmethod
-    def from_decoder(cls, g: Graph, decoder: EncodingTree, catalog: FeatureCatalog,
-                     construction_k: int, height: int, sweep=(),
-                     abstraction_source: str = "syntax") -> "DataSpace":
-        """Space over a given graph and decoder.  A catalog that misses a
-        vertex, an unknown abstraction source, a height or construction
-        count that is not an integer, or a decoder that is not a partition
-        tree over the graph's vertices is rejected here."""
-        catalog.require_cover(g.vertex_ids)
-        if not is_integer(height):
-            raise InvariantViolation(f"space height {height!r} is not an integer")
-        if not is_integer(construction_k):
-            raise InvariantViolation(f"construction_k {construction_k!r} is not an integer")
-        leaf_chains(decoder, g.n)
-        FeatureSet().pick(abstraction_source)
-        return cls(g, decoder, catalog, construction_k, height, tuple(sweep),
-                   abstraction_source)
+    def __post_init__(self):
+        """A catalog that misses a vertex, an unknown abstraction source, a
+        height cap that `_check_height` rejects, a construction count that
+        is not an integer, or a decoder that is not a partition tree over
+        the graph's vertices or is taller than the height is rejected when
+        the space is made, `dataclasses.replace` included."""
+        self.catalog.require_cover(self.graph.vertex_ids)
+        _check_height(self.height)
+        if not is_integer(self.construction_k):
+            raise InvariantViolation(f"construction_k {self.construction_k!r} is not an integer")
+        _, chains = leaf_chains(self.decoder, self.graph.n)
+        if max(map(len, chains.values())) > self.height + 1:  # a chain starts at the root
+            raise InvariantViolation(f"decoder is taller than the height cap {self.height}")
+        FeatureSet().pick(self.abstraction_source)
+        object.__setattr__(self, "sweep", tuple(self.sweep))
 
     @cached_property
     def knowledge(self) -> KnowledgeTree:
@@ -311,8 +313,7 @@ def build_data_space(sim, catalog: FeatureCatalog, height: int = 2,
         if d > best_d:
             best_d, best = d, (k, gk, result.tree)
     best_k, graph, decoder = best
-    return DataSpace.from_decoder(graph, decoder, catalog, best_k, height, sweep,
-                                  abstraction_source)
+    return DataSpace(graph, decoder, catalog, best_k, height, sweep, abstraction_source)
 
 
 @dataclass(frozen=True)
@@ -338,15 +339,13 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     for maximal decodable information with the point in the home slot.
     Then `refresh_stats` checks each slot and computes its stats on the
     winning graph, home first, and a slot replaces the best so far only if
-    its entropy is lower by more than 1e-12; `h_after` is the winner's.  No
-    slot lets the decoder grow past the space's height.
+    its entropy is lower by more than `DELTA_TOL`; `h_after` is the
+    winner's.  No slot lets the decoder grow past the space's height.
     """
     point_id = str(point_id)
     g = ds.graph
     if point_id in g.index:
         raise InvariantViolation(f"vertex id {point_id!r} already present")
-    if ds.decoder.height() > ds.height:
-        raise InvariantViolation(f"decoder is taller than the height cap {ds.height}")
     weights = []
     for vid, w in sims.items():
         v = _vertex_index(g, vid)
@@ -373,12 +372,11 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
     for path, tree in placements:  # home first
         refresh_stats(new_graph, tree)
         h = cached_entropy(tree, new_graph.volume)
-        if h < h_after - 1e-12:
+        if h < h_after - DELTA_TOL:
             slot, new_tree, h_after = path, tree, h
 
     catalog = ds.catalog.with_entry(point_id, features)
-    out = DataSpace.from_decoder(new_graph, new_tree, catalog, ds.construction_k,
-                                 ds.height, ds.sweep, ds.abstraction_source)
+    out = replace(ds, graph=new_graph, decoder=new_tree, catalog=catalog)
     module = new_tree.node_at(slot).vertices if slot else (x,)  # x's parent is its slot
     report = InsertReport(abstraction=target.path, chosen_k=best_k,
                           module=tuple(sorted(new_graph.vertex_ids[v] for v in module)),

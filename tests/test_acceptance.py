@@ -248,7 +248,7 @@ def test_criterion_9_knowledge_and_abstraction():
             at = st.abstraction_tree(kt)
             from structen.learning import check_strict_growth
             assert check_strict_growth(at) is None
-            ds = st.DataSpace.from_decoder(g, decoder, catalog, 1, 3, (), "all")
+            ds = st.DataSpace(g, decoder, catalog, 1, 3, (), "all")
             for vid in g.vertex_ids:
                 chain = st.flow_of_abstractions(ds, vid)
                 for deeper, shallower in zip(chain, chain[1:]):

@@ -395,6 +395,14 @@ class TestInsertCommand:
         assert "missing catalog entry for vertex 's3'" in err
 
 
+def _leaves(*ids):
+    return [{"vertex": f"s{i}"} for i in ids]
+
+
+# a height-3 decoder over s0..s7, for the height-2 space that `build` writes
+TALL_DECODER = {"children": [{"children": [{"children": _leaves(0, 1)}, *_leaves(2, 3)]},
+                             {"children": _leaves(4, 5, 6, 7)}]}
+
 BAD_INSERT_INPUTS = [
     # (document, key path, new value, exit code, stderr fragment)
     *[("space", (key,), value, 1, f"{key!r} must be an integer")
@@ -416,7 +424,8 @@ BAD_INSERT_INPUTS = [
     *[("space", ("abstraction_source",), value, 1, "'abstraction_source' must be a string")
       for value in (["syntax"], None, 5)],
     # numbers of the right type but out of range stay invariant violations
-    ("space", ("height",), 1, 2, "taller than the height cap"),
+    *[("space", ("height",), value, 2, "height cap must be at least 2") for value in (0, 1)],
+    ("space", ("decoder",), TALL_DECODER, 2, "decoder is taller than the height cap 2"),
     ("space", ("edges", 0), ["s0", "s1", -1.0], 2, "non-positive weight"),
     ("point", ("sims", "s0"), -0.5, 2, "negative or non-finite similarity"),
     ("space", ("abstraction_source",), "tags", 2, "unknown feature source 'tags'"),

@@ -71,8 +71,7 @@ def document_space(rng, height, unique, star=False):
               if rng.random() < (0.8 if home[i] == home[j] else 0.15)]
     g = st.Graph.from_index_edges(n, edges)
     doc = st.serialize(g, st.star_tree(g) if star else st.minimize_kd(g, height).tree)
-    space = st.DataSpace.from_decoder(g, st.deserialize(g, doc), _catalog(blocks, unique),
-                                      len(edges), height)
+    space = st.DataSpace(g, st.deserialize(g, doc), _catalog(blocks, unique), len(edges), height)
     return space, blocks
 
 

@@ -19,6 +19,10 @@ def catalog_of(entries):
         for vid, (syn, sem) in entries.items()})
 
 
+def _path(n):
+    return st.Graph.from_index_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+
+
 @pytest.fixture
 def worked_example(triangle):
     # vertices 0, 1 share a module; 2 stands alone
@@ -52,6 +56,23 @@ class TestKnowledgeTree:
         g, tree, catalog = worked_example
         kt = st.knowledge_tree(g, tree, catalog)
         assert kt.root.children[1].features == {"a", "e"}
+
+    @pytest.mark.parametrize("n", [3, 5], ids=["fewer vertices", "more vertices"])
+    def test_tree_over_another_vertex_set_rejected(self, n):
+        # with 3 vertices vertex 3 was dropped; with 5 a bare IndexError
+        g = _path(4)
+        catalog = catalog_of({str(v): ({"a"}, set()) for v in range(4)})
+        with pytest.raises(InvariantViolation) as err:
+            st.knowledge_tree(g, st.star_tree(_path(n)), catalog)
+        assert str(err.value) == ("invalid encoding tree: root marker must be the whole "
+                                  "item set (at root)")
+
+    @pytest.mark.parametrize("entry", [["a"], "a", None], ids=["list", "string", "none"])
+    def test_catalog_entry_must_be_a_feature_set(self, entry):
+        # such an entry failed later, as a bare AttributeError in knowledge_tree
+        with pytest.raises(InvariantViolation) as err:
+            FeatureCatalog({"0": FeatureSet(["a"]), "1": entry})
+        assert str(err.value) == "catalog entry for vertex '1' is not a FeatureSet"
 
     def test_nested_along_every_path(self):
         rng = random.Random(30)
@@ -162,32 +183,77 @@ class TestAbstractionTree:
             assert st.abstraction_tree(kt).root == AbstractionTree(reference(kt.root)).root
 
 
+BAD_SPACE_FIELDS = [
+    # (field, value, message) on a height-2 space over a 4-vertex path
+    ("catalog", catalog_of({str(v): ({"a"}, set()) for v in range(3)}),
+     "missing catalog entry for vertex '3'"),
+    ("abstraction_source", "tags", "unknown feature source 'tags'"),
+    ("height", 0, "height cap must be at least 2"),
+    ("height", 1, "height cap must be at least 2"),
+    ("height", 2.5, "height cap 2.5 is not an integer"),
+    ("height", True, "height cap True is not an integer"),
+    ("construction_k", "x", "construction_k 'x' is not an integer"),
+    ("construction_k", 2.5, "construction_k 2.5 is not an integer"),
+    ("decoder", st.star_tree(_path(3)),
+     "invalid encoding tree: root marker must be the whole item set (at root)"),
+    ("decoder", st.star_tree(_path(5)),
+     "invalid encoding tree: root marker must be the whole item set (at root)"),
+    ("decoder", st.build_tree(_path(4), [[[0, 1], 2], 3]),
+     "decoder is taller than the height cap 2"),
+]
+
+
+class TestDataSpaceChecks:
+    @pytest.fixture
+    def fields(self):
+        g = _path(4)
+        return {"graph": g, "decoder": st.build_tree(g, [[0, 1], [2, 3]]),
+                "catalog": catalog_of({str(v): ({"a"}, set()) for v in range(4)}),
+                "construction_k": 3, "height": 2}
+
+    @pytest.mark.parametrize("name, value, message", BAD_SPACE_FIELDS,
+                             ids=[f"{f}={v!r:.30}" for f, v, _ in BAD_SPACE_FIELDS])
+    def test_constructor_and_replace_reject(self, fields, name, value, message):
+        space = st.DataSpace(**fields)
+        with pytest.raises(InvariantViolation) as err:
+            st.DataSpace(**{**fields, name: value})
+        assert str(err.value) == message
+        with pytest.raises(InvariantViolation) as err:
+            dataclasses.replace(space, **{name: value})
+        assert str(err.value) == message
+
+    def test_decoder_as_tall_as_the_height_accepted(self, fields):
+        tall = st.build_tree(fields["graph"], [[[0, 1], 2], 3])
+        space = st.DataSpace(**{**fields, "decoder": tall, "height": 3})
+        assert space.sweep == () and space.abstraction_source == "syntax"
+        assert [len(c) for c in st.flow_of_abstractions(space, "0")] == [1] * 4
+
+
 class TestDataSpaceFeatureTrees:
     def test_from_decoder_checks_catalog_and_source(self, worked_example):
         g, tree, catalog = worked_example
         partial = catalog_of({"0": ({"a"}, set()), "1": ({"a"}, set())})
         with pytest.raises(InvariantViolation, match="missing catalog entry for vertex '2'"):
-            st.DataSpace.from_decoder(g, tree, partial, construction_k=3, height=2)
+            st.DataSpace(g, tree, partial, construction_k=3, height=2)
         with pytest.raises(InvariantViolation, match="unknown feature source 'tags'"):
-            st.DataSpace.from_decoder(g, tree, catalog, construction_k=3, height=2,
-                                      abstraction_source="tags")
+            st.DataSpace(g, tree, catalog, construction_k=3, height=2, abstraction_source="tags")
         for height in (2.5, None, True):
             with pytest.raises(InvariantViolation) as err:
-                st.DataSpace.from_decoder(g, tree, catalog, construction_k=3, height=height)
-            assert str(err.value) == f"space height {height!r} is not an integer"
+                st.DataSpace(g, tree, catalog, construction_k=3, height=height)
+            assert str(err.value) == f"height cap {height!r} is not an integer"
 
     def test_from_decoder_checks_construction_count(self, worked_example):
         g, tree, catalog = worked_example
         for k in (2.5, True):
             with pytest.raises(InvariantViolation) as err:
-                st.DataSpace.from_decoder(g, tree, catalog, construction_k=k, height=2)
+                st.DataSpace(g, tree, catalog, construction_k=k, height=2)
             assert str(err.value) == f"construction_k {k!r} is not an integer"
 
     def test_from_decoder_checks_the_decoder_covers_the_graph(self, worked_example):
         g, _, catalog = worked_example
         square = st.Graph.from_index_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
         with pytest.raises(InvariantViolation) as err:
-            st.DataSpace.from_decoder(g, st.star_tree(square), catalog, construction_k=3, height=2)
+            st.DataSpace(g, st.star_tree(square), catalog, construction_k=3, height=2)
         assert str(err.value) == ("invalid encoding tree: root marker must be the whole "
                                   "item set (at root)")
 
@@ -217,8 +283,8 @@ class TestDataSpaceFeatureTrees:
                 vid: FeatureSet(frozenset(rng.sample(tokens, rng.randint(0, 3))),
                                 frozenset(rng.sample(tokens, rng.randint(0, 3))))
                 for vid in g.vertex_ids})
-            ds = st.DataSpace.from_decoder(g, decoder, catalog, construction_k=len(g.edges),
-                                           height=3, abstraction_source=source)
+            ds = st.DataSpace(g, decoder, catalog, construction_k=len(g.edges),
+                              height=3, abstraction_source=source)
             kt = st.knowledge_tree(g, decoder, catalog, source="all")
             at = st.abstraction_tree(st.knowledge_tree(g, decoder, catalog, source=source))
             assert ds.knowledge.root == kt.root
@@ -325,9 +391,9 @@ class TestChooseAbstraction:
 
 
 def _space(g, decoder, catalog):
-    return st.DataSpace.from_decoder(g, decoder, catalog, construction_k=len(g.edges),
-                                     height=max(2, decoder.root.height()),
-                                     abstraction_source="all")
+    return st.DataSpace(g, decoder, catalog, construction_k=len(g.edges),
+                        height=max(2, decoder.root.height()),
+                        abstraction_source="all")
 
 
 class TestBuildDataSpace:
@@ -551,9 +617,8 @@ class TestInsertPoint:
                     assert_children_ordered(ds.decoder)
 
     def test_decoder_taller_than_cap_rejected(self, block_space):
-        tall = dataclasses.replace(block_space, height=1)
-        with pytest.raises(InvariantViolation, match="taller than the height cap"):
-            st.insert_point(tall, "x", {"0": 0.5})
+        with pytest.raises(InvariantViolation, match="height cap must be at least 2"):
+            dataclasses.replace(block_space, height=1)
 
     def test_fresh_id_required(self, block_space):
         with pytest.raises(InvariantViolation, match="already present"):

@@ -335,7 +335,7 @@ class TestDeepTrees:
 
         catalog = st.FeatureCatalog({str(v): st.FeatureSet(frozenset({"c"}), frozenset({f"v{v}"}))
                                      for v in range(n)})
-        ds = st.DataSpace.from_decoder(g, t, catalog, construction_k=n - 1, height=depth)
+        ds = st.DataSpace(g, t, catalog, construction_k=n - 1, height=depth)
         pairs = list(zip(t.walk(), st.tree.walk(ds.knowledge.root)))
         assert max(len(path) for (path, _), _ in pairs) == depth
         for (path, node), (kpath, knode) in pairs:
