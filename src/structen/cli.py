@@ -18,7 +18,7 @@ from .graph import (Graph, format_real, is_integer, load_graph, load_similarity_
                     one_dim_entropy, read_text)
 from .learning import (DataSpace, FeatureCatalog, FeatureSet, abstraction_tree,
                        build_data_space, check_strict_growth, insert_point,
-                       knowledge_tree)
+                       is_token_list, knowledge_tree)
 from .metrics import info_report
 from .optimize import brute_force_kd, minimize_kd
 from .tree import deserialize, fold, format_path, serialize
@@ -147,7 +147,7 @@ def cmd_insert(args) -> int:
     if not isinstance(sims, dict) or not all(_is_number(w) for w in sims.values()):
         raise GraphParseError(f"{args.point}: 'sims' must map vertex ids to weights")
     for key in ("syntax", "semantics"):
-        if not isinstance(point.get(key, []), list):
+        if not is_token_list(point.get(key, [])):
             raise GraphParseError(f"{args.point}: {key!r} must be a list of tokens")
     updated, report = insert_point(ds, point["id"], sims,
                                    syntax=point.get("syntax", []),

@@ -13,10 +13,8 @@ import math
 import numbers
 from functools import reduce
 from operator import add, sub
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
-if TYPE_CHECKING:  # numpy loads only inside load_similarity_csv
-    import numpy as np
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
 
 # dense vertex indices; frozenset keeps subsets hashable and immutable
@@ -413,21 +411,21 @@ def smallest_connected(n: int, pairs) -> int | None:
     return None
 
 
-def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+def load_similarity_csv(path) -> tuple[tuple[str, ...], list[list[float]]]:
     """Read a symmetric similarity matrix: first row and column are identifiers.
 
     The diagonal is ignored (zeroed).  Non-finite cells, asymmetry, negative
-    entries and shape problems are parse errors.
+    entries and shape problems are parse errors.  The matrix comes back as
+    rows of floats, indexed `values[r][c]`.
     """
-    import numpy as np
     rows = list(csv.reader(io.StringIO(read_text(path, newline=""), newline="")))
     if len(rows) < 3:
         raise GraphParseError(f"{path}: similarity matrix needs at least 2 samples")
     ids = tuple(x.strip() for x in rows[0][1:])
     n = len(ids)
-    values = np.zeros((n, n))
     if len(rows) != n + 1:
         raise GraphParseError(f"{path}: expected {n + 1} rows, got {len(rows)}")
+    values = [[0.0] * n for _ in range(n)]
     for r, row in enumerate(rows[1:]):
         if len(row) != n + 1:
             raise GraphParseError(f"{path}: row {r + 2} has {len(row)} fields, expected {n + 1}")
@@ -435,14 +433,13 @@ def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
             raise GraphParseError(f"{path}: row {r + 2} identifier {row[0]!r} does not match header")
         for c, cell in enumerate(row[1:]):
             try:
-                values[r, c] = parse_real(cell)
+                values[r][c] = parse_real(cell)
             except ValueError:
-                values[r, c] = math.nan
-            if not math.isfinite(values[r, c]):
+                values[r][c] = math.nan
+            if not math.isfinite(values[r][c]):
                 raise GraphParseError(f"{path}: row {r + 2}: bad number {cell!r}")
-    np.fill_diagonal(values, 0.0)
+        values[r][r] = 0.0
     try:
-        _check_similarity(values)
+        return ids, _check_similarity(values)
     except InvariantViolation as exc:
         raise GraphParseError(f"{path}: {exc}") from None
-    return ids, values

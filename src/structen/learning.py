@@ -24,6 +24,11 @@ from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_ch
                    refresh_stats, walk)
 
 
+def is_token_list(tokens) -> bool:
+    """Whether a document's token list is a JSON list of strings."""
+    return isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """Feature tokens of one data point, split into syntax and semantics.
@@ -53,13 +58,17 @@ class FeatureSet:
 
 
 class FeatureCatalog:
-    """Per-vertex feature sets, keyed by external vertex id."""
+    """Per-vertex feature sets, keyed by external vertex id as a string:
+    an entry given under `0` is the entry of vertex `'0'`."""
 
-    def __init__(self, entries: Mapping[str, FeatureSet] | None = None):
-        self._entries: dict[str, FeatureSet] = dict(entries or {})
-        for vid, features in self._entries.items():
+    def __init__(self, entries: Mapping[object, FeatureSet] | None = None):
+        self._entries: dict[str, FeatureSet] = {}
+        for vid, features in dict(entries or {}).items():
             if not isinstance(features, FeatureSet):
                 raise InvariantViolation(f"catalog entry for vertex {vid!r} is not a FeatureSet")
+            if str(vid) in self._entries:
+                raise InvariantViolation(f"two catalog entries for vertex {str(vid)!r}")
+            self._entries[str(vid)] = features
 
     def entry(self, vid) -> FeatureSet:
         try:
@@ -87,9 +96,9 @@ class FeatureCatalog:
                 raise GraphParseError(f"feature catalog: entry for {vid!r} must be an object")
             syntax = entry.get("syntax", [])
             semantics = entry.get("semantics", [])
-            if not isinstance(syntax, list) or not isinstance(semantics, list):
+            if not (is_token_list(syntax) and is_token_list(semantics)):
                 raise GraphParseError(f"feature catalog: token lists expected for {vid!r}")
-            entries[str(vid)] = FeatureSet(syntax, semantics)
+            entries[vid] = FeatureSet(syntax, semantics)
         return cls(entries)
 
     def to_dict(self) -> dict:

@@ -160,15 +160,24 @@ class TestEntropyCommand:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr.startswith("error: ")
 
-    def test_import_leaves_numpy_unloaded(self):
-        # only commands that read a similarity matrix load numpy
+    def test_import_leaves_numpy_unloaded(self, files):
+        # the package needs only the standard library: no command loads numpy,
+        # build and insert included
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
-        code = "import sys, structen.cli; print('numpy' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+        code = ("import contextlib, io, sys, structen.cli\n"
+                "loaded = ['numpy' in sys.modules]\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [structen.cli.main(['build', '--similarity', 'blocks.csv',\n"
+                "                                '--space-out', 'space.json']),\n"
+                "             structen.cli.main(['insert', '--space', 'space.json',\n"
+                "                                '--point', 'point.json'])]\n"
+                "loaded.append('numpy' in sys.modules)\n"
+                "print(codes, loaded)")
+        done = subprocess.run([sys.executable, "-c", code], cwd=files, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[0, 0] [False, False]\n"), done.stderr
 
     def test_trace_file_replays_to_printed_result(self, files, capsys):
         rng = random.Random(40)
@@ -418,7 +427,11 @@ BAD_INSERT_INPUTS = [
     *[("point", ("sims", "s0"), value, 1, "'sims' must map vertex ids to weights")
       for value in ("0.5", None)],
     *[("point", (key,), value, 1, f"{key!r} must be a list of tokens")
-      for key in ("syntax", "semantics") for value in (5, "abc")],
+      for key in ("syntax", "semantics")
+      for value in (5, "abc", [None], [{"k": 1}], [1.5], ["t", 2])],
+    # a JSON token is a string; any other value is not read as its str
+    ("space", ("catalog", "s0", "syntax"), ["b1", None], 1, "token lists expected for 's0'"),
+    ("space", ("catalog", "s0", "semantics"), [1.5], 1, "token lists expected for 's0'"),
     *[("point", ("id",), value, 1, "'id' must be a string or an integer")
       for value in (None, True, 1.5, [1, 2], {"x": 1})],
     *[("space", ("abstraction_source",), value, 1, "'abstraction_source' must be a string")
@@ -502,6 +515,10 @@ BAD_DOCUMENTS = {
                                     "feature catalog: entry for 's0' must be an object"),
     "catalog tokens not a list": (BUILD_WITH_BAD_FEATURES, '{"s0": {"syntax": "b1"}}',
                                   "feature catalog: token lists expected for 's0'"),
+    "catalog token not a string": (BUILD_WITH_BAD_FEATURES, '{"s0": {"syntax": ["b1", null]}}',
+                                   "feature catalog: token lists expected for 's0'"),
+    "catalog token a number": (BUILD_WITH_BAD_FEATURES, '{"s0": {"semantics": [1.5]}}',
+                               "feature catalog: token lists expected for 's0'"),
     "malformed json": (("entropy", "--graph", "{}/barbell.tsv", "--tree", "{}/bad.txt"),
                        '{"children": [', "bad.txt: Expecting value: line 1 column 15 (char 14)"),
     "space missing a key": (("insert", "--space", "{}/bad.txt", "--point", "{}/point.json"),

@@ -372,13 +372,16 @@ class TestSimilarityCsv:
         path.write_text(",a,b,c\na,0,2,1\nb,2,0,3\nc,1,3,0\n", encoding="utf-8")
         ids, values = st.load_similarity_csv(path)
         assert ids == ("a", "b", "c")
-        assert values[0, 1] == 2.0 and values[1, 2] == 3.0
+        assert values[0][1] == 2.0 and values[1][2] == 3.0
+        # rows of Python floats, not an array
+        assert type(values) is list and all(type(row) is list for row in values)
+        assert all(type(x) is float for row in values for x in row)
 
     def test_diagonal_ignored(self, tmp_path):
         path = tmp_path / "sim.csv"
         path.write_text(",a,b\na,7,2\nb,2,7\n", encoding="utf-8")
         _, values = st.load_similarity_csv(path)
-        assert values[0, 0] == 0.0
+        assert values[0][0] == 0.0
 
     def test_asymmetric_is_parse_error(self, tmp_path):
         path = tmp_path / "sim.csv"
@@ -394,7 +397,7 @@ class TestSimilarityCsv:
         # a negative diagonal is ignored like any other diagonal entry
         path.write_text(",a,b\na,-1,2\nb,2,-1\n", encoding="utf-8")
         _, values = st.load_similarity_csv(path)
-        assert values[0, 0] == values[1, 1] == 0.0
+        assert values[0][0] == values[1][1] == 0.0
 
     def test_bad_number(self, tmp_path):
         path = tmp_path / "sim.csv"

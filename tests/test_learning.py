@@ -74,6 +74,27 @@ class TestKnowledgeTree:
             FeatureCatalog({"0": FeatureSet(["a"]), "1": entry})
         assert str(err.value) == "catalog entry for vertex '1' is not a FeatureSet"
 
+    def test_catalog_int_keys_name_their_vertices(self):
+        # int keys were stored as given but looked up as str(vid)
+        g = _path(2)
+        catalog = FeatureCatalog({0: FeatureSet(["a"]), 1: FeatureSet(["a", "b"])})
+        kt = st.knowledge_tree(g, st.star_tree(g), catalog)
+        assert kt.root.features == frozenset({"a"})
+        assert catalog.to_dict() == {"0": {"syntax": ["a"], "semantics": []},
+                                     "1": {"syntax": ["a", "b"], "semantics": []}}
+
+    def test_catalog_with_an_int_entry_writes_its_document(self):
+        # mixed int and str keys made to_dict's sort raise a bare TypeError
+        catalog = FeatureCatalog({0: FeatureSet(["a"])}).with_entry(2, FeatureSet(["b"]))
+        assert catalog.to_dict() == {"0": {"syntax": ["a"], "semantics": []},
+                                     "2": {"syntax": ["b"], "semantics": []}}
+        assert catalog.entry("2") == catalog.entry(2) == FeatureSet(["b"])
+
+    def test_catalog_keys_naming_one_vertex_rejected(self):
+        with pytest.raises(InvariantViolation) as err:
+            FeatureCatalog({0: FeatureSet(["a"]), "0": FeatureSet(["b"])})
+        assert str(err.value) == "two catalog entries for vertex '0'"
+
     def test_nested_along_every_path(self):
         rng = random.Random(30)
         for _ in range(20):
