@@ -32,16 +32,18 @@ def is_token_list(tokens) -> bool:
 @dataclass(frozen=True)
 class FeatureSet:
     """Feature tokens of one data point, split into syntax and semantics.
-    Each is given as a collection of tokens, not one string, and stored as
-    a frozenset of strings."""
+    Each is given as a collection of string tokens, not one string, and
+    stored as a frozenset; any other token is rejected, as in a document."""
 
     syntax: frozenset = frozenset()
     semantics: frozenset = frozenset()
 
     def __post_init__(self):
         for name in ("syntax", "semantics"):
-            tokens = frozenset(map(str, _tokens(getattr(self, name), name)))
-            object.__setattr__(self, name, tokens)
+            tokens = list(_tokens(getattr(self, name), name))
+            if not is_token_list(tokens):
+                raise InvariantViolation(f"{name} tokens must be strings")
+            object.__setattr__(self, name, frozenset(tokens))
 
     @property
     def all(self) -> frozenset:

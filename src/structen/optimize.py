@@ -20,24 +20,23 @@ preferred over combine.
 
 The phases are incremental and share one state per run (`_Shape`), built
 from the star: a parent map, cached subtree heights and min vertices,
-updated along the changed path only, for every sibling pair the indices
-of the edges between the two in `g.edges` order, and one stamp per node.
-`merge_delta` and `combine_apply` build the same state over a given tree.
-`_Shape` owns the step operators: `pair` merges or combines two siblings
-and `flatten` promotes a node's children; every phase and `replay_trace`
-apply steps through them, and they renew the stamp of every node that
-moved or whose children changed.  Each phase keeps a heap of candidates
-keyed by the tie-break, invalidated lazily by those stamps.  A merge or
-combine re-scores only the pairs it touched:
-the new node with its siblings, the pairs under a fused node (their parent
-volume changed), and the parent with its own siblings (its children
-changed).  A flatten re-scores the parent and the promoted children.
-Every candidate is scored by the same float expressions on the same
-operands as a full rescan would use.  A pair's weight comes from its row
-alone, folded over its edges in `g.edges` order, both when it is scored
-and when `pair` applies it, so each step picks the same move with the
-same delta: traces, trees and entropies are identical to the exhaustive
-search, bit for bit.
+updated along the changed path only, for every sibling pair its row of
+edges with their weight, and one stamp per node.  `merge_delta` and
+`combine_apply` build the same state over a given tree.  `_Shape` owns
+the step operators: `pair` merges or combines two siblings and `flatten`
+promotes a node's children; every phase and `replay_trace` apply steps
+through them, and they renew the stamp of every node that moved or whose
+children changed.  Each phase keeps a heap of candidates keyed by the
+tie-break, invalidated lazily by those stamps.  A merge or combine
+re-scores only the pairs it touched: the new node with its siblings, the
+pairs under a fused node (their parent volume changed), and the parent
+with its own siblings (its children changed).  A flatten re-scores the
+parent and the promoted children.  Every candidate is scored by the same
+float expressions, folded in the same order, as a full rescan would use:
+a row's weight is kept as the row grows and refolded when two rows join,
+and a node's child terms are kept while its stamp lasts.  So each step
+picks the same move with the same delta: traces, trees and entropies are
+identical to the exhaustive search, bit for bit.
 """
 
 from __future__ import annotations
@@ -121,35 +120,31 @@ def merge_delta(g: Graph, t: EncodingTree, a, b) -> float:
     na, nb = t.node_at(pa), t.node_at(pb)
     if max(shape.height[na], shape.height[nb]) > 1:
         raise InvariantViolation("merge_delta needs flat modules (children must be leaves)")
-    w = left_sum(g.edges[i][2] for i in shape.rows[na].get(nb, ()))
+    row = shape.rows[na].get(nb)
+    w = 0.0 if row is None else row.w
     return _flat_merge_delta(g.volume, shape.parent[na].vol, na.vol, na.cut, nb.vol, nb.cut, w)
 
 
-def _general_merge_delta(vol: float, parent: TreeNode, a: TreeNode, b: TreeNode,
-                         w_ab: float) -> float:
-    # Local recomputation over the affected terms: the two operands, their
-    # children (re-parented under the fused node), and nothing else.
-    def contrib(cut, v, v_up):
-        return -(cut / vol) * math.log2(v / v_up)
-
-    before = contrib(a.cut, a.vol, parent.vol) + contrib(b.cut, b.vol, parent.vol)
-    for c in a.children:
-        before += contrib(c.cut, c.vol, a.vol)
-    for c in b.children:
-        before += contrib(c.cut, c.vol, b.vol)
+def _general_merge_delta(vol: float, v_parent: float, a: TreeNode, b: TreeNode, w_ab: float,
+                         terms_a: list[float], terms_b: list[float]) -> float:
+    """Entropy drop from fusing siblings a and b, over the operands and
+    their children only.  terms_a is a's child terms -(c.cut / vol) *
+    log2(c.vol / a.vol) in child order, kept by `_greedy_phase` per node
+    under its stamp; each side is one left fold, in node order."""
+    log2 = math.log2
+    before = -(a.cut / vol) * log2(a.vol / v_parent) + -(b.cut / vol) * log2(b.vol / v_parent)
+    for t in terms_a:
+        before += t
+    for t in terms_b:
+        before += t
     vm = a.vol + b.vol
     gm = a.cut + b.cut - 2.0 * w_ab
-    after = contrib(gm, vm, parent.vol)
-    for c in (a.children or [a]):
-        after += contrib(c.cut, c.vol, vm)
-    for c in (b.children or [b]):
-        after += contrib(c.cut, c.vol, vm)
+    after = -(gm / vol) * log2(vm / v_parent)
+    for c in a.children or (a,):
+        after += -(c.cut / vol) * log2(c.vol / vm)
+    for c in b.children or (b,):
+        after += -(c.cut / vol) * log2(c.vol / vm)
     return before - after
-
-
-def _combine_delta(vol: float, v_parent: float, va: float, vb: float, w_ab: float) -> float:
-    # Only the shared prefix changes: 2 w_ab * log2(V_parent / (V_a + V_b)) / vol.
-    return 2.0 * w_ab / vol * math.log2(v_parent / (va + vb))
 
 
 def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None) -> EncodingTree:
@@ -187,20 +182,27 @@ def minimize_2d(g: Graph) -> OptimizeResult:
     return minimize_kd(g, 2)
 
 
+class _Row(list):
+    """Two siblings' edge indices, ascending, and `w`, their weights' left fold."""
+    __slots__ = ("w",)
+
+
 class _Shape:
     """The greedy's one state per run, built from the star or from a valid
     tree, not checked again, and edited in place by every phase and by
     `replay_trace` and `combine_apply`: parent links, subtree heights and
     min vertices (`low`), updated along the changed path only; each
-    vertex's leaf; `rows`, where rows[x][y] lists the indices of the edges
-    between siblings x and y in `g.edges` order (rows[y][x] is the same
-    list); and one `stamp` per live node, renewed whenever the node moves
-    or its children change, so that a heap entry scored before the change
-    can tell it is stale.  `pair` and `flatten`, the only step operators,
-    keep every child list that was in `low` order in it.  Each kind of
-    edit has one home: `split` files every edge under its sibling pair,
-    the starting tree's included; `pair` alone re-keys rows onto a new
-    node; and past the start, `adopt` sets every parent link and stamp."""
+    vertex's leaf; `rows`, where rows[x][y] is the `_Row` of the edges
+    between siblings x and y (rows[y][x] is the same row), its weight
+    extended by every append; and one `stamp` per live node, renewed
+    whenever the node moves or its children change, so that a heap entry
+    scored before the change can tell it is stale.  `pair` and `flatten`,
+    the only step operators, keep every child list that was in `low` order
+    in it.  Each kind of edit has one home: `split` files every edge under
+    its sibling pair, the starting tree's included, but a combine keeps its
+    operands' row whole, as all of its edges join the two; `pair` alone
+    re-keys rows onto a new node, refolding two rows it joins; and past
+    the start, `adopt` sets every parent link and stamp."""
 
     __slots__ = ("tree", "edges", "leaf", "parent", "height", "low", "rows", "stamp", "tick")
 
@@ -220,15 +222,18 @@ class _Shape:
             else:
                 self.low[node] = node.vertex
         self.leaf = sorted((x for x in order if x.is_leaf), key=self.low.__getitem__)
-        self.rows: dict[TreeNode, dict[TreeNode, list[int]]] = {node: {} for node in order}
-        branches: dict[TreeNode, list[int]] = {}
-        for i, (u, v, _) in enumerate(g.edges):
-            up = self.leaf[u]
-            while v not in up.vertices:  # climb to the branch point of u and v
-                up = self.parent[up]
-            branches.setdefault(up, []).append(i)
-        for up, ids in branches.items():
-            self.split(ids, up)
+        self.rows: dict[TreeNode, dict[TreeNode, _Row]] = {node: {} for node in order}
+        if tree is None:  # every edge of the star joins two leaves of the root
+            self.split(range(len(g.edges)), self.tree.root)
+        else:
+            branches: dict[TreeNode, list[int]] = {}
+            for i, (u, v, _) in enumerate(g.edges):
+                up = self.leaf[u]
+                while v not in up.vertices:  # climb to the branch point of u and v
+                    up = self.parent[up]
+                branches.setdefault(up, []).append(i)
+            for up, ids in branches.items():
+                self.split(ids, up)
         self.tick = itertools.count()
         self.stamp: dict[TreeNode, int] = {node: next(self.tick) for node in order}
 
@@ -250,23 +255,27 @@ class _Shape:
     def pair(self, kind: int, a: TreeNode, b: TreeNode) -> TreeNode:
         """Merge (kind 0) or combine (kind 1) siblings a and b; the new node
         takes the earlier operand's slot and is returned.  The weight between
-        a and b is folded over their row in edge order, as `score` folds it."""
+        a and b is their row's, the one `score` read."""
         rows, up = self.rows, self.parent[a]
-        between = rows[a].pop(b, [])  # no edges: only a replayed step, never the greedy
+        between = rows[a].pop(b, None)  # None: only a replayed step, never the greedy
         rows[b].pop(a, None)
-        w = left_sum(self.edges[i][2] for i in between)
+        w = 0.0 if between is None else between.w
         children = [a, b] if kind else [*(a.children or [a]), *(b.children or [b])]
         children.sort(key=self.low.__getitem__)
         new = TreeNode(a.vertices | b.vertices, a.vol + b.vol, a.cut + b.cut - 2.0 * w, children)
         i, j = up.children.index(a), up.children.index(b)
         up.children[min(i, j)] = new
         del up.children[max(i, j)]
-        row: dict[TreeNode, list[int]] = {}
-        for side in (a, b):
-            for x, ids in rows.pop(side).items():
-                del rows[x][side]
-                prev = row.get(x)
-                row[x] = ids if prev is None else sorted(prev + ids)
+        row = rows.pop(a)  # becomes the new node's row, b's joined into it
+        for x in row:
+            del rows[x][a]
+        for x, ids in rows.pop(b).items():
+            del rows[x][b]
+            prev = row.get(x)
+            if prev is not None:
+                ids = _Row(sorted(prev + ids))
+                ids.w = left_sum(self.edges[e][2] for e in ids)
+            row[x] = ids
         for x, ids in row.items():
             rows[x][new] = ids
         rows[new] = row
@@ -276,7 +285,10 @@ class _Shape:
                 rows[side] = {}
             else:
                 self.detach(side)
-        self.split(between, new)
+        if not kind:
+            self.split(between or (), new)
+        elif between is not None:  # every edge of a combine joins a and b
+            rows[a][b] = rows[b][a] = between
         return new
 
     def flatten(self, node: TreeNode) -> None:
@@ -297,7 +309,7 @@ class _Shape:
         self.adopt(node.children, node)
         self.adopt((node,), up)
         self.low[node] = self.low[node.children[0]]
-        h = self.height[node] = 1 + max(self.height[c] for c in node.children)
+        h = self.height[node] = 1 + max(map(self.height.__getitem__, node.children))
         while up is not None and self.height[up] <= h:  # heights only grow here
             h = self.height[up] = h + 1
             up = self.parent.get(up)
@@ -317,7 +329,7 @@ class _Shape:
     def settle(self, node: TreeNode | None) -> None:
         """Recompute heights upward from a node that lost depth below it."""
         while node is not None:
-            h = 1 + max(self.height[c] for c in node.children)
+            h = 1 + max(map(self.height.__getitem__, node.children))
             if h == self.height[node]:
                 return
             self.height[node] = h
@@ -326,21 +338,24 @@ class _Shape:
     def split(self, between: Iterable[int], up: TreeNode) -> None:
         """File edges, in order, under the pair of children of `up` that they
         now join: the starting tree's edges at their branch points, the
-        edges between a merge's or a combine's operands, and a flattened
-        node's rows.  Every such pair must be new to `rows`, so each of its
-        lists stays ascending."""
+        edges between a merge's operands, and a flattened node's rows.
+        Every such pair must be new to `rows`, so each row stays ascending
+        and its weight the left fold of its edges' weights in that order."""
         parent, rows = self.parent, self.rows
         for i in between:
-            u, v, _ = self.edges[i]
+            u, v, w = self.edges[i]
             cu, cv = self.leaf[u], self.leaf[v]
             while parent[cu] is not up:
                 cu = parent[cu]
             while parent[cv] is not up:
                 cv = parent[cv]
-            pair = rows[cu].get(cv)
-            if pair is None:
-                pair = rows[cu][cv] = rows[cv][cu] = []
-            pair.append(i)
+            row = rows[cu].get(cv)
+            if row is None:
+                row = rows[cu][cv] = rows[cv][cu] = _Row((i,))
+                row.w = w  # 0.0 + w, where the fold starts
+            else:
+                row.append(i)
+                row.w += w
 
 
 def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
@@ -350,45 +365,57 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
     # (-delta, minA, minB, kind); an entry is live while both operands keep
     # the stamps they had when it was scored, and each step re-scores
     # exactly the pairs whose operands, parent or parent volume it changed.
-    vol, edges = g.volume, g.edges
+    # A node's child terms are kept while it keeps its stamp; its pairs share them.
+    vol, log2, push = g.volume, math.log2, heapq.heappush
     parent, height, low, rows = shape.parent, shape.height, shape.low, shape.rows
     stamp = shape.stamp
+    terms: dict[TreeNode, tuple[int, list[float]]] = {}
     pushes = itertools.count()
     heap: list[tuple] = []
 
-    def fits(kind: int, a: TreeNode, b: TreeNode, up: TreeNode) -> bool:
-        # The height cap; depth and heights never shrink within a phase, so
-        # a pair that fails it once fails it for good.
-        if k is None:
-            return True
-        depth = shape.depth(up)
-        if kind == 0:
-            return depth + 2 <= k or not (a.is_leaf or b.is_leaf)
-        return depth + 2 + max(height[a], height[b]) <= k
+    def fits(a: TreeNode, b: TreeNode, up: TreeNode) -> tuple[bool, bool]:
+        # Whether a merge and a combine of a and b fit the height cap k.
+        # Depth and heights never shrink within a phase, so a pair that
+        # fails it once fails it for good.
+        room = k - 2 - shape.depth(up)  # levels a new child of `up` may hold below it
+        ha, hb = height[a], height[b]
+        return room >= 0 or 0 < ha and 0 < hb, max(ha, hb) <= room
+
+    def child_terms(a: TreeNode) -> list[float]:
+        got = terms.get(a)
+        if got is None or got[0] != stamp[a]:
+            va = a.vol
+            got = terms[a] = (stamp[a], [-(c.cut / vol) * log2(c.vol / va) for c in a.children])
+        return got[1]
 
     def score(a: TreeNode, b: TreeNode) -> None:
         up = parent[a]
         if len(up.children) < 3:  # child counts only shrink
             return
-        if low[a] > low[b]:
-            a, b = b, a
-        w = 0.0
-        for i in rows[a][b]:
-            w += edges[i][2]
-        if fits(0, a, b, up):
-            if height[a] <= 1 and height[b] <= 1:
-                d = _flat_merge_delta(vol, up.vol, a.vol, a.cut, b.vol, b.cut, w)
+        la, lb = low[a], low[b]
+        if la > lb:
+            a, b, la, lb = b, a, lb, la
+        w = rows[a][b].w
+        ha, hb = height[a], height[b]
+        merges, combines = (True, True) if k is None else fits(a, b, up)
+        dm = dc = 0.0
+        if merges:
+            if ha <= 1 and hb <= 1:
+                dm = _flat_merge_delta(vol, up.vol, a.vol, a.cut, b.vol, b.cut, w)
             else:
-                d = _general_merge_delta(vol, up, a, b, w)
-            if d > DELTA_TOL:
-                heapq.heappush(heap, (-d, low[a], low[b], 0, next(pushes),
-                                      a, b, stamp[a], stamp[b]))
+                dm = _general_merge_delta(vol, up.vol, a, b, w, child_terms(a), child_terms(b))
         # A leaf-leaf combine builds the very tree the merge builds; skip it.
-        if not (a.is_leaf and b.is_leaf) and fits(1, a, b, up):
-            d = _combine_delta(vol, up.vol, a.vol, b.vol, w)
-            if d > DELTA_TOL:
-                heapq.heappush(heap, (-d, low[a], low[b], 1, next(pushes),
-                                      a, b, stamp[a], stamp[b]))
+        if combines and (ha or hb):  # only the shared prefix changes
+            dc = 2.0 * w / vol * log2(up.vol / (a.vol + b.vol))
+        # Queue only the better move; the other would pop second and be stale.
+        if dm >= dc:  # the combine pops second, and the merge fits wherever it does
+            dc = 0.0
+        elif k is None:  # the merge pops second, and no cap can stop the combine
+            dm = 0.0
+        if dm > DELTA_TOL:
+            push(heap, (-dm, la, lb, 0, next(pushes), a, b, stamp[a], stamp[b]))
+        if dc > DELTA_TOL:
+            push(heap, (-dc, la, lb, 1, next(pushes), a, b, stamp[a], stamp[b]))
 
     def score_children(node: TreeNode) -> None:
         for c in node.children:
@@ -399,21 +426,17 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
     for node in height:
         score_children(node)
 
-    def live(entry: tuple) -> bool:
-        return stamp.get(entry[5]) == entry[7] and stamp.get(entry[6]) == entry[8]
-
     kept = len(heap)
     while heap:
         if len(heap) > 2 * kept + 64:  # most entries are dead: drop them
-            heap[:] = [entry for entry in heap if live(entry)]
+            heap[:] = [e for e in heap if stamp.get(e[5]) == e[7] and stamp.get(e[6]) == e[8]]
             heapq.heapify(heap)
             kept = len(heap)
-        entry = heapq.heappop(heap)
-        if not live(entry):
+        neg_d, _, _, kind, _, a, b, sa, sb = heapq.heappop(heap)
+        if stamp.get(a) != sa or stamp.get(b) != sb:
             continue
-        neg_d, _, _, kind, _, a, b, _, _ = entry
         up = parent[a]
-        if len(up.children) < 3 or not fits(kind, a, b, up):
+        if len(up.children) < 3 or k is not None and not fits(a, b, up)[kind]:
             continue
         ppath = shape.path(up)
         trace.append(TraceStep(_STEP_KINDS[kind], ppath + (up.children.index(a),),
@@ -447,25 +470,30 @@ def _compress_phase(g: Graph, shape: _Shape, k: int,
     parent, height, stamp = shape.parent, shape.height, shape.stamp
     heap: list[tuple] = []
 
-    def score(node: TreeNode) -> None:
-        if node.is_leaf or node not in parent or shape.depth(node) + height[node] <= k:
+    def score(node: TreeNode, depth: int) -> None:
+        if not depth or not height[node] or depth + height[node] <= k:  # root, leaf, low enough
             return
         d = _flatten_delta(vol, parent[node], node)
         heapq.heappush(heap, (-d, shape.low[node], -len(node.vertices), stamp[node], node))
 
-    for node in height:
-        score(node)
+    level, depth = [shape.tree.root], 0
+    while level:  # every node with its depth, a level at a time
+        for node in level:
+            score(node, depth)
+        level, depth = [c for node in level for c in node.children], depth + 1
     while heap:
         neg_d, _, _, s, node = heapq.heappop(heap)
-        if stamp.get(node) != s or shape.depth(node) + height[node] <= k:
+        if stamp.get(node) != s:
+            continue
+        path = shape.path(node)
+        if len(path) + height[node] <= k:
             continue
         up = parent[node]
-        path = shape.path(node)
         trace.append(TraceStep("flatten", path, path[:-1], -neg_d))
         shape.flatten(node)
-        score(up)
+        score(up, len(path) - 1)
         for c in node.children:
-            score(c)
+            score(c, len(path))
 
 
 def minimize_kd(g: Graph, k: int) -> OptimizeResult:

@@ -7,6 +7,8 @@ final entropy to the last bit.  The cases mix non-dyadic weights (so float
 addition order shows), unit and small-integer weights (so exact delta ties
 must break the same way), a path graph and planted cliques, each at height
 caps 2, 3 and 4 so that polish steps below the root are covered.
+`sparse-250` and `unit-200` are as large as the benchmark's graphs, so
+deep polish phases and joins of long sibling-pair rows are pinned too.
 
 `PYTHONPATH=src python tests/test_golden_traces.py` prints the table from
 the code as it stands.  Re-record it only for a change that is meant to
@@ -69,10 +71,12 @@ GRAPHS = {
     "sparse-60": lambda: sparse(103, 60, 180),
     "sparse-90": lambda: sparse(105, 90, 270),
     "sparse-120": lambda: sparse(104, 120, 360),
+    "sparse-250": lambda: sparse(107, 250, 750),
     "dense-30": lambda: sparse(106, 30, 200),
     "unit-16": lambda: unit(201, 16, 36),
     "unit-40": lambda: unit(202, 40, 100),
     "unit-80": lambda: unit(203, 80, 200),
+    "unit-200": lambda: unit(204, 200, 500),
     "int-20": lambda: small_int(301, 20, 50),
     "int-50": lambda: small_int(302, 50, 130),
     "int-100": lambda: small_int(303, 100, 260),
@@ -112,6 +116,9 @@ GOLDEN = {
     "sparse-120/k2": "5e6d14a345256d8d08461b3f69ac005f47adbc75c4dfb603d27b752b67814b66",
     "sparse-120/k3": "3571a3d9895c5d449f5a2d641827902d6625da4d75464a6aedd55058943628b5",
     "sparse-120/k4": "3039bc65a48dab20914e555772ede5be88d4a33a65b36d879a2153f0dcaa9a9e",
+    "sparse-250/k2": "086d8c23fa5b2a21bc68dd57dd5084386012ada40950bacc70354ab05d54e2a0",
+    "sparse-250/k3": "35f57e4e7a2eae534035b9801bfde6e145756ccdb35beb27ec96baee25b6ed18",
+    "sparse-250/k4": "f71377bc169c19c3702d9a6d7e4677f9942cf40c327e73d078a1e292a8f4e4c3",
     "sparse-30/k2": "7cba63747b6a265e51fb899c7bec9024e32c9b59d84666f4898319b025679f1d",
     "sparse-30/k3": "74c9c0241a16d8c31afd5957f5334a46e21af7f09a2445e8674b76f335eca5e2",
     "sparse-30/k4": "38cd3439567f811a8e38769bd02362bbf404813cb55cf72c29f9944afdb544eb",
@@ -124,6 +131,9 @@ GOLDEN = {
     "unit-16/k2": "c915c4b03448f33a0046eb7d15987e77c0e2caf4cda00485e1d918ce771d73f4",
     "unit-16/k3": "7f666f67fd54d24720b07a3b5027299d7415ce83edd64add7b29426560bfeb6d",
     "unit-16/k4": "d5703197fa01f4d6ffe67c0bcf4914ddeb4b351074a33f89615000f2c3ed1cde",
+    "unit-200/k2": "a2f60a16f85116679dc6cfcf1be6b2ae62aea6049727551253e9b5ecee7b9ccb",
+    "unit-200/k3": "a047252d59b0ae355845f1c038715a1d0d8463206b03b8f1af512979bcdcdf7c",
+    "unit-200/k4": "70175406622a5f0579edc0622d1180834c38559cb4ca654962d9e5910ce623a8",
     "unit-40/k2": "b372a5578bb3b95f8e66e43ae3bff93fd81f43f9f109e313dfa772e4c601e98a",
     "unit-40/k3": "b17db6b30a4bb4d3ed1fca1ab2f1b0a91deaaeafc37fe7a4a278f9d9b5e22246",
     "unit-40/k4": "6e9f8adcfdb01bbe733427333f0d33669c0af6b0de53d910153be7f68607b92e",

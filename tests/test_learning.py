@@ -289,9 +289,18 @@ class TestDataSpaceFeatureTrees:
         assert str(err.value) == f"{key} is a string, not a collection of tokens"
 
     def test_feature_set_stores_frozensets_of_strings(self):
-        fs = FeatureSet(["a", 1], ("b",))
+        fs = FeatureSet(["a", "1"], ("b",))
         assert fs.syntax == frozenset({"a", "1"}) and fs.semantics == frozenset({"b"})
         assert fs.all == frozenset({"a", "1", "b"}) and fs == FeatureSet({"1", "a"}, ["b"])
+
+    @pytest.mark.parametrize("key", ["syntax", "semantics"])
+    @pytest.mark.parametrize("tokens", [["a", 1], [None], [1.5], [True]],
+                             ids=["int", "none", "float", "bool"])
+    def test_feature_set_of_non_string_tokens_rejected(self, key, tokens):
+        # the JSON readers reject these tokens too, so both entry points agree
+        with pytest.raises(InvariantViolation) as err:
+            FeatureSet(**{key: tokens})
+        assert str(err.value) == f"{key} tokens must be strings"
 
     @pytest.mark.parametrize("source", ["all", "syntax", "semantics"])
     def test_trees_equal_direct_builds_and_are_built_once(self, source):
@@ -669,6 +678,12 @@ class TestInsertPoint:
         with pytest.raises(InvariantViolation) as err:
             st.insert_point(block_space, "x", {"0": 0.5}, **{key: "b1"})
         assert str(err.value) == f"{key} is a string, not a collection of tokens"
+
+    def test_non_string_tokens_rejected(self, block_space):
+        # as `structen insert` rejects a point document with a null token
+        with pytest.raises(InvariantViolation) as err:
+            st.insert_point(block_space, "x", {"0": 0.5}, syntax=[None])
+        assert str(err.value) == "syntax tokens must be strings"
 
     @pytest.mark.parametrize("sims, message", [
         ({0: 0.5, "0": 0.7}, "duplicate edge '0'-'x'"),   # one vertex named twice

@@ -241,6 +241,17 @@ class TestSerialization:
         assert st.structural_entropy(barbell, t) == pytest.approx(1.699513850, abs=1e-6)
 
 
+class TestRepr:
+    def test_reprs_and_size_on_a_path(self):
+        g = st.Graph(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0)])
+        t = st.build_tree(g, [[0, 1], 2])
+        assert repr(t.root) == "<node[2] [0, 1, 2] vol=4 cut=0>"
+        assert repr(t.root.children[0]) == "<node[2] [0, 1] vol=3 cut=1>"
+        assert repr(t.root.children[1]) == "<leaf [2] vol=1 cut=1>"
+        assert repr(t) == "EncodingTree(n=3, height=2)"
+        assert t.n == 3
+
+
 class TestBuildTree:
     def test_nested_spec(self, barbell):
         t = st.build_tree(barbell, [[0, 1, 2], [3, [4, 5]]])
