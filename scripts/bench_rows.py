@@ -12,7 +12,7 @@ benchmarks/inputs.py (read only, shared with the gated benchmark):
 Every source tree named on the command line is run in its own fresh
 process per repeat, and the trees take turns, so that a drift of the
 host's speed falls on all of them alike.  A row gives the median wall time
-of the repeats, the greedy's steps per phase (read from the trace as the
+of 5 repeats, the greedy's steps per phase (read from the trace as the
 gated benchmark's tracer reads them) or the number of kappa values swept,
 the commit of the tree and the Python version.  As in `timeit`, the
 cyclic garbage collector runs before each timed call and is off during
@@ -21,8 +21,6 @@ happens to trip it, is not charged to one row; the gated benchmark keeps
 the collector on.
 
     python3 scripts/bench_rows.py parent=../parent/src change=src --out BENCH_24.json
-
-`--repeats` sets the repeats per row (default 5).
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPARSE_N = (200, 400, 1000)
 PATH_N = 300
 PLANTED_N = (16, 24)
+REPEATS = 5
 
 
 def _timed(call):
@@ -104,25 +103,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", metavar="LABEL=SRC",
                         help="a label and the `src` directory of a source tree")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", help="write the rows to this JSON file")
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         json.dump(worker(args.worker), sys.stdout)
         return 0
+    if not args.trees or not all("=" in tree for tree in args.trees):
+        parser.error("name each source tree as LABEL=SRC")
     trees = dict(tree.split("=", 1) for tree in args.trees)
-    if not trees or args.repeats < 1:
-        parser.error("name at least one LABEL=SRC and a positive --repeats")
     runs = {label: [] for label in trees}
-    for r in range(args.repeats):
+    for r in range(REPEATS):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for label in order:
             done = subprocess.run([sys.executable, __file__, "--worker", trees[label]],
                                   capture_output=True, text=True, check=True)
             runs[label].append(json.loads(done.stdout))
     doc = {"python": platform.python_version(), "cpus": os.cpu_count(),
-           "repeats": args.repeats, "trees": {}}
+           "repeats": REPEATS, "trees": {}}
     for label, repeats in runs.items():
         rows = []
         for i, first in enumerate(repeats[0]):
