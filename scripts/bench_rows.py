@@ -7,25 +7,30 @@ benchmarks/inputs.py (read only, shared with the gated benchmark):
   - `minimize_kd` on `sparse_graph(Random(1), n, 3n)` for n in {200, 400,
     1000} and on `path_graph(Random(1), 300)`, at k in {2, 3};
   - `build_data_space` at height 2 on `planted_blocks(Random(1), 4, n/4)`
-    for n in {16, 24}, with an empty feature catalog.
+    for n in {16, 24}, with an empty feature catalog;
+  - a chain of 60 `insert_point` calls on `inputs.point` requests, 15 to
+    each block in shuffled order, that grows the n=24 space to 84 points;
+    the space first gets its `inputs.catalog` features through
+    `dataclasses.replace`, and neither that nor the requests are timed.
 
 Every source tree named on the command line is run in its own fresh
 process per repeat, and the trees take turns, so that a drift of the
 host's speed falls on all of them alike.  A row gives the median wall time
 of 5 repeats, the greedy's steps per phase (read from the trace as the
-gated benchmark's tracer reads them) or the number of kappa values swept,
-the commit of the tree and the Python version.  As in `timeit`, the
-cyclic garbage collector runs before each timed call and is off during
-it, so that a full collection, which falls wherever the allocation count
-happens to trip it, is not charged to one row; the gated benchmark keeps
-the collector on.
+gated benchmark's tracer reads them), the number of kappa values swept or
+the number of inserts, the commit of the tree and the Python version.  As
+in `timeit`, the cyclic garbage collector runs before each timed call and
+is off during it, so that a full collection, which falls wherever the
+allocation count happens to trip it, is not charged to one row; the gated
+benchmark keeps the collector on.
 
-    python3 scripts/bench_rows.py parent=../parent/src change=src --out BENCH_24.json
+    python3 scripts/bench_rows.py parent=../parent/src change=src --out BENCH_25.json
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -41,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPARSE_N = (200, 400, 1000)
 PATH_N = 300
 PLANTED_N = (16, 24)
+INSERTS = 60
 REPEATS = 5
 
 
@@ -79,11 +85,30 @@ def worker(src: str) -> list[dict]:
             rows.append({"row": f"minimize_kd {name} k={k}", "seconds": seconds,
                          "steps": dict(sorted(phase_steps(result.trace).items()))})
     for n in PLANTED_N:
-        ids, _, sim = inputs.planted_blocks(random.Random(1), 4, n // 4)
+        rng = random.Random(1)
+        ids, block_of, sim = inputs.planted_blocks(rng, 4, n // 4)
         catalog = st.FeatureCatalog({vid: st.FeatureSet() for vid in ids})
         ds, seconds = _timed(lambda: st.build_data_space(sim, catalog, 2, ids))
         rows.append({"row": f"build_data_space planted n={n} height=2", "seconds": seconds,
                      "kappa_values": len(ds.sweep)})
+    # the chain grows the last space built, with the rng that planted it
+    ds = dataclasses.replace(ds, catalog=st.FeatureCatalog.from_dict(inputs.catalog(rng, block_of)))
+    blocks = [i % 4 for i in range(INSERTS)]
+    rng.shuffle(blocks)
+    requests = []
+    for i, block in enumerate(blocks):
+        requests.append(inputs.point(rng, f"x{i:02d}", block, block_of))
+        block_of[f"x{i:02d}"] = block
+
+    def chain():
+        space = ds
+        for doc in requests:
+            space, _ = st.insert_point(space, doc["id"], doc["sims"], doc["syntax"], doc["semantics"])
+        return space
+
+    space, seconds = _timed(chain)
+    rows.append({"row": f"insert_point chain planted n={n}+{INSERTS}", "seconds": seconds,
+                 "inserts": space.graph.n - n})
     return rows
 
 

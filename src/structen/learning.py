@@ -20,8 +20,8 @@ from .graph import (Graph, is_integer, left_sum, one_dim_entropy, positive_pairs
                     real_weight, shannon_entropy, smallest_connected)
 from .metrics import cached_entropy, node_terms, structural_entropy, term_sum
 from .optimize import DELTA_TOL, _check_height, minimize_kd
-from .tree import (EncodingTree, TreeNode, add_crossing, codeword, fold, leaf_chains,
-                   refresh_stats, walk)
+from .tree import (EncodingTree, TreeNode, _node_stats, add_crossing, codeword, fold,
+                   leaf_chains, refresh_stats, walk)
 
 
 def is_token_list(tokens) -> bool:
@@ -40,10 +40,7 @@ class FeatureSet:
 
     def __post_init__(self):
         for name in ("syntax", "semantics"):
-            tokens = list(_tokens(getattr(self, name), name))
-            if not is_token_list(tokens):
-                raise InvariantViolation(f"{name} tokens must be strings")
-            object.__setattr__(self, name, frozenset(tokens))
+            object.__setattr__(self, name, _token_set(getattr(self, name), name))
 
     @property
     def all(self) -> frozenset:
@@ -164,25 +161,17 @@ def knowledge_tree(g: Graph, t: EncodingTree, catalog: FeatureCatalog,
 def abstraction_tree(kt: KnowledgeTree) -> AbstractionTree:
     """Contract equal-feature parent-child edges; feature sets grow strictly."""
 
-    # Each result is (node, its smallest vertex, its children's smallest
-    # vertices), so every marker's minimum is taken once, over its children.
-    def contract(node: FeatureNode, children) -> tuple[FeatureNode, int, list[int]]:
+    def contract(node: FeatureNode, children) -> FeatureNode:
         kids: list[FeatureNode] = []
-        lows: list[int] = []
-        for child, low, child_lows in children:
+        for child in children:
             if child.features == node.features:
                 kids += child.children  # absorb; grandchildren are strict already
-                lows += child_lows
             else:
                 kids.append(child)
-                lows.append(low)
-        if lows != sorted(lows):
-            order = sorted(range(len(lows)), key=lows.__getitem__)
-            kids, lows = [kids[i] for i in order], [lows[i] for i in order]
-        low = min([r[1] for r in children]) if children else min(node.vertices)
-        return FeatureNode(node.features, node.vertices, node.decoder_path, kids), low, lows
+        kids.sort(key=lambda c: min(c.vertices))  # absorbed grandchildren may fall between
+        return FeatureNode(node.features, node.vertices, node.decoder_path, kids)
 
-    return AbstractionTree(fold(kt.root, contract)[0])
+    return AbstractionTree(fold(kt.root, contract))
 
 
 def check_strict_growth(at: AbstractionTree) -> str | None:
@@ -225,9 +214,10 @@ def choose_abstraction(ds: "DataSpace", features: Iterable[str]) -> FeatureNode:
     """Deepest abstraction whose feature set is contained in the query.
 
     Empty feature sets never match; ties prefer the larger feature set and
-    then the smaller tree position.  Falls back to the root.
+    then the smaller tree position.  Falls back to the root.  The query's
+    tokens must be strings, as a `FeatureSet`'s are.
     """
-    query = frozenset(map(str, _tokens(features, "feature query")))
+    query = _token_set(features, "feature query")
     best = None
     best_key = None
     for path, node in walk(ds.abstractions.root):
@@ -244,6 +234,14 @@ def _tokens(tokens, what: str):
     if isinstance(tokens, str):
         raise InvariantViolation(f"{what} is a string, not a collection of tokens")
     return tokens
+
+
+def _token_set(tokens, what: str) -> frozenset:
+    """`tokens` as a frozenset, each of them a string."""
+    tokens = list(_tokens(tokens, what))
+    if not is_token_list(tokens):
+        raise InvariantViolation(f"{what} tokens must be strings")
+    return frozenset(tokens)
 
 
 def _vertex_index(g: Graph, vid) -> int:
@@ -400,26 +398,24 @@ def _best_count(g: Graph, home: EncodingTree, weights) -> int:
     on g plus the edges from x = g.n to the first k (w, v) of `weights`;
     ties keep the smaller k.
 
-    One checked `leaf_chains` of home and one pass over g's edges give
-    every node's old-edge cut (x has no old edge), and each node's vol and
-    cut are written into home's own nodes.  A count refolds only the nodes
-    on the two changed leaf chains, then sums H with `term_sum` over home's
-    stats in `node_terms` order, as `metrics.cached_entropy` does.  A
-    count's graph lists its new edges after every old one, and every
-    degree, volume, vol and cut is a left fold, so each value here is bit
-    for bit what `Graph` and `refresh_stats` compute on that graph.  Home's
-    stats are left at the last count's; the caller's `refresh_stats`
-    rewrites them.  The caller has checked the graph with every edge of
-    `weights`.
+    `tree._node_stats` over g's degrees, plus 0.0 for x, and over g's
+    edges gives home's checked preorder, its leaf chains and every node's
+    old-edge vol and cut (x has no old edge), which are written into
+    home's own nodes.  A count then refolds only the nodes on the two
+    changed leaf chains and sums H with `term_sum` over home's stats in
+    `node_terms` order, as `metrics.cached_entropy` does.  A count's graph
+    lists its new edges after every old one, and every degree, volume, vol
+    and cut is a left fold, so each value here is bit for bit what `Graph`
+    and `refresh_stats` compute on that graph.  Home's stats are left at
+    the last count's; the caller's `refresh_stats` rewrites them.  The
+    caller has checked the graph with every edge of `weights`.
     """
     x = g.n
-    nodes, chains = leaf_chains(home, x + 1)
-    cuts = [0.0] * len(nodes)
-    add_crossing(cuts, chains, g.edges)
     deg = [*g.degree, 0.0]
     degree_of = deg.__getitem__
-    for (_, node), cut in zip(nodes, cuts):
-        node.vol, node.cut = left_sum(map(degree_of, node.vertices)), cut
+    nodes, chains, vols, cuts = _node_stats(home, deg, g.edges)
+    for (_, node), vol, cut in zip(nodes, vols, cuts):
+        node.vol, node.cut = vol, cut
     terms = list(node_terms(home))
     log2 = math.log2
     best_d = -math.inf

@@ -164,7 +164,7 @@ def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None
         new_height = depth + 2 + max(shape.height[na], shape.height[nb])
         if new_height > height_cap:
             raise InvariantViolation(f"height cap exceeded ({new_height} > {height_cap})")
-    shape.pair(1, na, nb)
+    shape.pair(1, parent, pa[-1], pb[-1])
     parent.children.sort(key=shape.low.__getitem__)  # a user's tree may be unordered
     return shape.tree
 
@@ -196,10 +196,11 @@ class _Shape:
     between siblings x and y (rows[y][x] is the same row), its weight
     extended by every append; and one `stamp` per live node, renewed
     whenever the node moves or its children change, so that a heap entry
-    scored before the change can tell it is stale.  `pair` and `flatten`,
-    the only step operators, keep every child list that was in `low` order
-    in it.  Each kind of edit has one home: `split` files every edge under
-    its sibling pair, the starting tree's included, but a combine keeps its
+    scored before the change can tell it is stale.  `pair` (given a parent
+    and two child positions its caller has checked) and `flatten`, the
+    only step operators, keep every child list that was in `low` order in
+    it.  Each kind of edit has one home: `split` files every edge under its
+    sibling pair, the starting tree's included, but a combine keeps its
     operands' row whole, as all of its edges join the two; `pair` alone
     re-keys rows onto a new node, refolding two rows it joins; and past
     the start, `adopt` sets every parent link and stamp."""
@@ -252,18 +253,17 @@ class _Shape:
             node = up
         return tuple(reversed(out))
 
-    def pair(self, kind: int, a: TreeNode, b: TreeNode) -> TreeNode:
-        """Merge (kind 0) or combine (kind 1) siblings a and b; the new node
-        takes the earlier operand's slot and is returned.  The weight between
-        a and b is their row's, the one `score` read."""
-        rows, up = self.rows, self.parent[a]
+    def pair(self, kind: int, up: TreeNode, i: int, j: int) -> TreeNode:
+        """Merge (kind 0) or combine (kind 1) children i and j of `up`; the
+        new node takes the earlier slot and is returned.  The weight between
+        the two is their row's, the one `score` read."""
+        rows, a, b = self.rows, up.children[i], up.children[j]
         between = rows[a].pop(b, None)  # None: only a replayed step, never the greedy
         rows[b].pop(a, None)
         w = 0.0 if between is None else between.w
         children = [a, b] if kind else [*(a.children or [a]), *(b.children or [b])]
         children.sort(key=self.low.__getitem__)
         new = TreeNode(a.vertices | b.vertices, a.vol + b.vol, a.cut + b.cut - 2.0 * w, children)
-        i, j = up.children.index(a), up.children.index(b)
         up.children[min(i, j)] = new
         del up.children[max(i, j)]
         row = rows.pop(a)  # becomes the new node's row, b's joined into it
@@ -438,10 +438,9 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
         up = parent[a]
         if len(up.children) < 3 or k is not None and not fits(a, b, up)[kind]:
             continue
-        ppath = shape.path(up)
-        trace.append(TraceStep(_STEP_KINDS[kind], ppath + (up.children.index(a),),
-                               ppath + (up.children.index(b),), -neg_d))
-        new = shape.pair(kind, a, b)
+        ppath, i, j = shape.path(up), up.children.index(a), up.children.index(b)
+        trace.append(TraceStep(_STEP_KINDS[kind], ppath + (i,), ppath + (j,), -neg_d))
+        new = shape.pair(kind, up, i, j)
         for x in rows[new]:
             score(new, x)
         score_children(new)
@@ -557,7 +556,8 @@ def replay_trace(g: Graph, trace) -> EncodingTree:
             parent = t.node_at(step.a[:-1])
             if len(parent.children) < 3:
                 raise InvariantViolation(f"{where}: would leave the parent with a single child")
-            shape.pair(_STEP_KINDS.index(step.kind), t.node_at(step.a), t.node_at(step.b))
+            t.node_at(step.a), t.node_at(step.b)  # a bad path raises before the edit
+            shape.pair(_STEP_KINDS.index(step.kind), parent, step.a[-1], step.b[-1])
         refresh_stats(g, t)
         h_after = cached_entropy(t, g.volume)
         if not abs((h - h_after) - step.delta) <= REPLAY_TOL:

@@ -159,8 +159,9 @@ def build_tree(g: Graph, spec) -> EncodingTree:
     any other value, a bool included, raises InvariantViolation.
 
     Example: [[0, 1], [2, [3, 4]]] is a height-3 tree over 5 vertices.
-    Stats are computed from the graph.  This is the one place that makes a
-    node's marker from its children.
+    Each marker is the union of its children's, and the stats are computed
+    from the graph.  Only `optimize._Shape.pair` and
+    `learning._apply_position` make markers elsewhere, in trees they edit.
     """
 
     def node(s, children) -> TreeNode:
@@ -234,27 +235,25 @@ def add_crossing(cuts: list[float], chains, edges) -> None:
             cuts[i] += w
 
 
-def _node_stats(g: Graph, t: EncodingTree, invalid: str = "invalid encoding tree: "
-                ) -> list[tuple[NodePath, TreeNode, float, float]]:
-    """(path, node, vol, cut) of every node in preorder, from one checked
-    walk and one edge pass.
-
-    Each cut folds its edges' weights in `g.edges` order, so it is the same
-    float sum `cut_weight` makes.  A shape fault raises as in `leaf_chains`.
-    """
-    nodes, chains = leaf_chains(t, g.n, invalid)
+def _node_stats(t: EncodingTree, degree, edges, invalid: str = "invalid encoding tree: "):
+    """The one stats walk, over any degree sequence and edge list: the
+    `leaf_chains` of t over len(degree) items, then each node's vol and
+    cut, as lists in the same preorder.  A vol folds its marker's degrees
+    in the frozenset's order and a cut its edges' weights in `edges` order,
+    as `cut_weight` does.  A shape fault raises as in `leaf_chains`."""
+    nodes, chains = leaf_chains(t, len(degree), invalid)
     cuts = [0.0] * len(nodes)
-    add_crossing(cuts, chains, g.edges)
-    deg = g.degree
-    return [(path, node, left_sum(deg[v] for v in node.vertices), cut)
-            for (path, node), cut in zip(nodes, cuts)]
+    add_crossing(cuts, chains, edges)
+    vols = [left_sum(map(degree.__getitem__, node.vertices)) for _, node in nodes]
+    return nodes, chains, vols, cuts
 
 
 def refresh_stats(g: Graph, t: EncodingTree) -> None:
-    """Check t's shape and recompute every cached vol and cut from the
-    graph, in place.  Only `learning._best_count` also writes node stats,
-    into its own placement copy."""
-    for _, node, vol, cut in _node_stats(g, t):
+    """Check t's shape and write `_node_stats` over the graph into every
+    node, in place.  Only `learning._best_count` also writes node stats,
+    from the same walk, into its own placement copy."""
+    nodes, _, vols, cuts = _node_stats(t, g.degree, g.edges)
+    for (_, node), vol, cut in zip(nodes, vols, cuts):
         node.vol, node.cut = vol, cut
 
 
@@ -262,10 +261,10 @@ def validate(g: Graph, t: EncodingTree) -> str | None:
     """Ground-truth check of all invariants; returns the first violation or
     None.  Shape faults come first, in preorder, then stale stats."""
     try:
-        stats = _node_stats(g, t, invalid="")
+        nodes, _, vols, cuts = _node_stats(t, g.degree, g.edges, invalid="")
     except InvariantViolation as err:
         return str(err)
-    for path, node, vol, cut in stats:
+    for (path, node), vol, cut in zip(nodes, vols, cuts):
         if abs(node.vol - vol) > STAT_TOL:
             return f"stale cached stats (vol {node.vol!r} vs {vol!r}) at {format_path(path)}"
         if abs(node.cut - cut) > STAT_TOL:

@@ -412,6 +412,14 @@ class TestChooseAbstraction:
             st.choose_abstraction(ds, "ab")
         assert str(err.value) == "feature query is a string, not a collection of tokens"
 
+    @pytest.mark.parametrize("query", [[1, "a"], [None]], ids=["int", "none"])
+    def test_non_string_tokens_rejected(self, worked_example, query):
+        # str() would let 1 match the token "1", which no FeatureSet can hold
+        ds = _space(*worked_example)
+        with pytest.raises(InvariantViolation) as err:
+            st.choose_abstraction(ds, query)
+        assert str(err.value) == "feature query tokens must be strings"
+
     def test_irrelevant_tokens_do_not_change_choice(self, worked_example):
         g, tree, catalog = worked_example
         ds = _space(g, tree, catalog)

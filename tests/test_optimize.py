@@ -87,8 +87,9 @@ class TestMergeDelta:
 
     def test_negative_index_is_no_node(self, cycle4):
         # (-1,) must not name the last child, or (3,) would be named twice
-        with pytest.raises(InvariantViolation, match="no node at path -1"):
-            st.merge_delta(cycle4, st.star_tree(cycle4), (-1,), (3,))
+        for a, b in [((-1,), (3,)), ((0,), (-1,))]:
+            with pytest.raises(InvariantViolation, match="no node at path -1"):
+                st.merge_delta(cycle4, st.star_tree(cycle4), a, b)
 
     def test_matches_the_entropy_drop_on_random_trees(self):
         rng = random.Random(23)
@@ -158,8 +159,10 @@ class TestCombineApply:
             st.combine_apply(k4, t1, (0, 0), (1,))
 
     def test_negative_index_is_no_node(self, cycle4):
-        with pytest.raises(InvariantViolation, match="no node at path -1"):
-            st.combine_apply(cycle4, st.star_tree(cycle4), (-1,), (3,))
+        # the pair step takes child positions, so neither operand may be -1
+        for a, b in [((-1,), (3,)), ((0,), (-1,))]:
+            with pytest.raises(InvariantViolation, match="no node at path -1"):
+                st.combine_apply(cycle4, st.star_tree(cycle4), a, b)
 
     def test_matches_the_spec_on_random_trees(self):
         rng = random.Random(24)
@@ -376,9 +379,9 @@ class TestTraceContract:
             assert str(err.value) == message
 
     def test_replay_rejects_a_negative_index(self, barbell):
-        step = st.TraceStep("merge", (-1,), (4,), 0.1)
-        with pytest.raises(InvariantViolation, match="no node at path -1"):
-            st.replay_trace(barbell, [step])
+        for a, b in [((-1,), (4,)), ((0,), (-1,))]:
+            with pytest.raises(InvariantViolation, match="no node at path -1"):
+                st.replay_trace(barbell, [st.TraceStep("merge", a, b, 0.1)])
 
     def test_parse_trace_round_trip(self):
         rng = random.Random(30)
