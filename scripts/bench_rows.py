@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Timed rows of single library calls, for the BENCH_*.json performance series.
+"""Timed rows of single library calls and quality rows of the greedy, for
+the BENCH_*.json performance series.
 
 Each row times one structen call on a fixed seeded input from
 benchmarks/inputs.py (read only, shared with the gated benchmark):
@@ -13,18 +14,26 @@ benchmarks/inputs.py (read only, shared with the gated benchmark):
     the space first gets its `inputs.catalog` features through
     `dataclasses.replace`, and neither that nor the requests are timed.
 
+After the timed rows come the quality rows, one per gap corpus: the
+greedy's relative gap (greedy - optimum) / optimum to `brute_force_kd` on
+`sparse_graph(Random(seed), n, 2n)` for seeds 1-100, with its weights in
+[0.5, 2) or all 1, at k=2 with n=10 and at k=3 with n=7.  A row gives the
+number of runs more than 1e-12 above the optimum, the mean gap and the max
+gap; they are not timed.
+
 Every source tree named on the command line is run in its own fresh
 process per repeat, and the trees take turns, so that a drift of the
-host's speed falls on all of them alike.  A row gives the median wall time
-of 5 repeats, the greedy's steps per phase (read from the trace as the
-gated benchmark's tracer reads them), the number of kappa values swept or
-the number of inserts, the commit of the tree and the Python version.  As
-in `timeit`, the cyclic garbage collector runs before each timed call and
-is off during it, so that a full collection, which falls wherever the
-allocation count happens to trip it, is not charged to one row; the gated
-benchmark keeps the collector on.
+host's speed falls on all of them alike.  A timed row gives the median
+wall time of 5 repeats, the greedy's steps per phase (read from the trace
+as the gated benchmark's tracer reads them), and the number of kappa
+values swept or the number of inserts.  These counts, and a quality row's
+figures, must be the same in every repeat.  The file records the commit of
+each tree and the Python version.  As in `timeit`, the cyclic garbage
+collector runs before each timed call and is off during it, so that a full
+collection, which falls wherever the allocation count happens to trip it,
+is not charged to one row; the gated benchmark keeps the collector on.
 
-    python3 scripts/bench_rows.py parent=../parent/src change=src --out BENCH_25.json
+    python3 scripts/bench_rows.py parent=../parent/src change=src --out BENCH_26.json
 """
 
 from __future__ import annotations
@@ -48,6 +57,8 @@ PATH_N = 300
 PLANTED_N = (16, 24)
 INSERTS = 60
 REPEATS = 5
+GAP_CORPORA = ((2, 10), (3, 7))   # (k, n); the oracle is exact and fast there
+GAP_SEEDS = range(1, 101)
 
 
 def _timed(call):
@@ -109,6 +120,22 @@ def worker(src: str) -> list[dict]:
     space, seconds = _timed(chain)
     rows.append({"row": f"insert_point chain planted n={n}+{INSERTS}", "seconds": seconds,
                  "inserts": space.graph.n - n})
+    for weights in ("continuous", "unit"):
+        for k, n in GAP_CORPORA:
+            above, gaps = 0, []
+            for seed in GAP_SEEDS:
+                edges = inputs.sparse_graph(random.Random(seed), n, 2 * n)
+                if weights == "unit":
+                    edges = [(u, v, 1.0) for u, v, _ in edges]
+                g = _graph(st, edges)
+                greedy = st.minimize_kd(g, k).entropy
+                optimum = st.brute_force_kd(g, k, max_n=n).entropy
+                above += greedy - optimum > 1e-12
+                gaps.append((greedy - optimum) / optimum)
+            rows.append({"row": f"gap sparse {weights} n={n} m={2 * n} k={k} "
+                                f"seeds={GAP_SEEDS[0]}-{GAP_SEEDS[-1]}",
+                         "above_optimum": above, "mean_gap": statistics.fmean(gaps),
+                         "max_gap": max(gaps)})
     return rows
 
 
@@ -151,13 +178,18 @@ def main(argv=None) -> int:
         for i, first in enumerate(repeats[0]):
             counts = {key: value for key, value in first.items() if key not in ("row", "seconds")}
             if any({key: rep[i][key] for key in counts} != counts for rep in repeats):
-                raise SystemExit(f"{label}: {first['row']}: step counts differ between repeats")
-            rows.append({"row": first["row"],
-                         "median_s": statistics.median(rep[i]["seconds"] for rep in repeats),
-                         **counts})
+                raise SystemExit(f"{label}: {first['row']}: counts differ between repeats")
+            row = {"row": first["row"]}
+            if "seconds" in first:
+                row["median_s"] = statistics.median(rep[i]["seconds"] for rep in repeats)
+            rows.append({**row, **counts})
         doc["trees"][label] = {"commit": commit_of(trees[label]), "rows": rows}
         for row in rows:
-            print(f"{label:>8}  {row['row']:<48} {row['median_s']:9.4f} s")
+            if "median_s" in row:
+                print(f"{label:>8}  {row['row']:<48} {row['median_s']:9.4f} s")
+            else:
+                print(f"{label:>8}  {row['row']:<48} {row['above_optimum']:3d} above, "
+                      f"mean {row['mean_gap']:.2%}, max {row['max_gap']:.2%}")
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0

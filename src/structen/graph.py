@@ -314,9 +314,7 @@ def check_distribution(p: Sequence[float]) -> tuple[float, ...]:
     """`p` as a tuple of floats, each entry read by `real_weight`, after the
     checks every distribution must pass: nonempty, finite, no negative
     entry, and a sum within 1e-9 of 1."""
-    p = tuple(p)
-    if {*map(type, p)} != {float}:  # all floats, as in insert's count sweep: no call per entry
-        p = tuple([real_weight(x, "distribution entry") for x in p])
+    p = tuple([real_weight(x, "distribution entry") for x in p])
     if not p:
         raise InvariantViolation("empty distribution")
     if not all(map(math.isfinite, p)):

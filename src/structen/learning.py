@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphParseError, InvariantViolation
 from .graph import (Graph, is_integer, left_sum, one_dim_entropy, positive_pairs,
-                    real_weight, shannon_entropy, smallest_connected)
+                    real_weight, smallest_connected)
 from .metrics import cached_entropy, node_terms, structural_entropy, term_sum
 from .optimize import DELTA_TOL, _check_height, minimize_kd
 from .tree import (EncodingTree, TreeNode, _node_stats, add_crossing, codeword, fold,
@@ -394,21 +394,22 @@ def insert_point(ds: DataSpace, point_id, sims: Mapping[str, float],
 
 
 def _best_count(g: Graph, home: EncodingTree, weights) -> int:
-    """Attachment count k with the most decodable information, H1 - H(home),
-    on g plus the edges from x = g.n to the first k (w, v) of `weights`;
-    ties keep the smaller k.
+    """Attachment count k with the most decodable information in `home`,
+    scored as `metrics.compressing_info` (which equals H1 - H), on g plus
+    the edges from x = g.n to the first k (w, v) of `weights`; ties keep
+    the smaller k.
 
     `tree._node_stats` over g's degrees, plus 0.0 for x, and over g's
     edges gives home's checked preorder, its leaf chains and every node's
     old-edge vol and cut (x has no old edge), which are written into
     home's own nodes.  A count then refolds only the nodes on the two
-    changed leaf chains and sums H with `term_sum` over home's stats in
-    `node_terms` order, as `metrics.cached_entropy` does.  A count's graph
-    lists its new edges after every old one, and every degree, volume, vol
-    and cut is a left fold, so each value here is bit for bit what `Graph`
-    and `refresh_stats` compute on that graph.  Home's stats are left at
-    the last count's; the caller's `refresh_stats` rewrites them.  The
-    caller has checked the graph with every edge of `weights`.
+    changed leaf chains and sums vol - cut with `term_sum` over home's
+    stats in `node_terms` order.  A count's graph lists its new edges
+    after every old one, and every degree, volume, vol and cut is a left
+    fold, so each score is bit for bit `compressing_info` of home on that
+    graph.  Home's stats are left at the last count's; the caller's
+    `refresh_stats` rewrites them.  The caller has checked the graph with
+    every edge of `weights`.
     """
     x = g.n
     deg = [*g.degree, 0.0]
@@ -427,8 +428,7 @@ def _best_count(g: Graph, home: EncodingTree, weights) -> int:
         for i in {*chains[v], *chains[x]}:
             node = nodes[i][1]
             node.vol, node.cut = left_sum(map(degree_of, node.vertices)), cuts[i]
-        h = term_sum([(c.cut, log2(c.vol / p.vol)) for c, p in terms], volume)
-        d = shannon_entropy([dv / volume for dv in deg]) - h
+        d = term_sum([(c.vol - c.cut, log2(c.vol / p.vol)) for c, p in terms], volume)
         if d > best_d:
             best_d, best_k = d, k
     return best_k

@@ -11,12 +11,13 @@ The greedy starts from the star tree and runs three phases:
      over-deep internal node whose removal costs the least entropy;
   3. polish: rerun phase 1 under the cap.
 
-Restricting phase 1 to the cap traps the search in flat local optima
-(merging across a bridge can beat completing a clique), which the
-uncapped pass followed by compression avoids.  Only pairs with positive
-cross weight are candidates, deltas are evaluated locally, and ties break
-deterministically on (min vertex of A, min vertex of B) with merge
-preferred over combine.
+Measured, the uncapped pass does not avoid flat local optima better than
+the cap: one capped pass from the star ends lower on 42 of 48 golden
+trace rows, with a mean gap to the optimum of 0.4-1.0% against 1.4-4.5%
+on `scripts/bench_rows.py`'s rows (3.6% against 1.8-2.3% at k = 3, n = 9).
+The phases stay so that outputs do not move until that choice is made.
+Only pairs with positive cross weight are candidates, deltas are computed
+locally, and ties break on (min vertex of A, min vertex of B), merge first.
 
 The phases are incremental and share one state per run (`_Shape`), built
 from the star: a parent map, cached subtree heights and min vertices,
@@ -200,10 +201,10 @@ class _Shape:
     and two child positions its caller has checked) and `flatten`, the
     only step operators, keep every child list that was in `low` order in
     it.  Each kind of edit has one home: `split` files every edge under its
-    sibling pair, the starting tree's included, but a combine keeps its
-    operands' row whole, as all of its edges join the two; `pair` alone
-    re-keys rows onto a new node, refolding two rows it joins; and past
-    the start, `adopt` sets every parent link and stamp."""
+    sibling pair, a starting tree's (the star's too) at branch points, but
+    a combine keeps its operands' row whole, as all of its edges join the
+    two; `pair` alone re-keys rows onto a new node, refolding two rows it
+    joins; and past the start, `adopt` sets every parent link and stamp."""
 
     __slots__ = ("tree", "edges", "leaf", "parent", "height", "low", "rows", "stamp", "tick")
 
@@ -224,17 +225,14 @@ class _Shape:
                 self.low[node] = node.vertex
         self.leaf = sorted((x for x in order if x.is_leaf), key=self.low.__getitem__)
         self.rows: dict[TreeNode, dict[TreeNode, _Row]] = {node: {} for node in order}
-        if tree is None:  # every edge of the star joins two leaves of the root
-            self.split(range(len(g.edges)), self.tree.root)
-        else:
-            branches: dict[TreeNode, list[int]] = {}
-            for i, (u, v, _) in enumerate(g.edges):
-                up = self.leaf[u]
-                while v not in up.vertices:  # climb to the branch point of u and v
-                    up = self.parent[up]
-                branches.setdefault(up, []).append(i)
-            for up, ids in branches.items():
-                self.split(ids, up)
+        branches: dict[TreeNode, list[int]] = {}
+        for i, (u, v, _) in enumerate(g.edges):
+            up = self.leaf[u]
+            while v not in up.vertices:  # climb to the branch point of u and v
+                up = self.parent[up]
+            branches.setdefault(up, []).append(i)
+        for up, ids in branches.items():
+            self.split(ids, up)
         self.tick = itertools.count()
         self.stamp: dict[TreeNode, int] = {node: next(self.tick) for node in order}
 
@@ -499,8 +497,9 @@ def minimize_kd(g: Graph, k: int) -> OptimizeResult:
     """Greedy minimization over trees of height at most k.
 
     Agglomerates height-unbounded, compresses back to the cap, then
-    polishes with capped moves.  Merge and combine trace deltas are
-    positive; flatten deltas are the (non-positive) exact entropy change.
+    polishes with capped moves, kept only so that outputs do not move (see
+    the module docstring).  Merge and combine trace deltas are positive;
+    flatten deltas are the (non-positive) exact entropy change.
     """
     _check_height(k)
     shape = _Shape(g)
@@ -543,20 +542,22 @@ def replay_trace(g: Graph, trace) -> EncodingTree:
         where = f"trace step {i} ({step.kind} {format_path(step.a)} {format_path(step.b)})"
         if step.kind not in _STEP_KINDS or not step.a:
             raise InvariantViolation(f"{where}: not a step the optimizer takes")
-        if step.kind == "flatten":
-            if step.b != step.a[:-1]:
-                raise InvariantViolation(f"{where}: the second path must be the parent")
-            node = t.node_at(step.a)
+        flatten = step.kind == "flatten"
+        if flatten and step.b != step.a[:-1]:
+            raise InvariantViolation(f"{where}: the second path must be the parent")
+        if not flatten and (step.a[:-1] != step.b[:-1] or step.a == step.b):
+            raise InvariantViolation(f"{where}: operands are not two distinct siblings")
+        try:  # a bad path raises before the edit
+            parent, node, _ = map(t.node_at, (step.a[:-1], step.a, step.b))
+        except InvariantViolation as err:
+            raise InvariantViolation(f"{where}: {err}") from None
+        if flatten:
             if node.is_leaf:
                 raise InvariantViolation(f"{where}: cannot flatten a leaf")
             shape.flatten(node)
         else:
-            if step.a[:-1] != step.b[:-1] or step.a == step.b:
-                raise InvariantViolation(f"{where}: operands are not two distinct siblings")
-            parent = t.node_at(step.a[:-1])
             if len(parent.children) < 3:
                 raise InvariantViolation(f"{where}: would leave the parent with a single child")
-            t.node_at(step.a), t.node_at(step.b)  # a bad path raises before the edit
             shape.pair(_STEP_KINDS.index(step.kind), parent, step.a[-1], step.b[-1])
         refresh_stats(g, t)
         h_after = cached_entropy(t, g.volume)

@@ -555,10 +555,12 @@ class TestInsertPoint:
 
     def test_chosen_k_dominates_single_edge(self, block_space):
         # the chosen count is the first argmax of the decodable information
-        # over every count, on the fixture and on seeded planted spaces
-        def decodability_by_count(space, sims, syntax):
-            # H1 - H for each count, with x in the home slot, by public calls:
-            # the module itself, or its parent when it is a leaf at the cap
+        # over every count, and of the compressed information that equals
+        # it, on the fixture and on seeded planted spaces
+        def information_by_count(space, sims, syntax):
+            # H1 - H and compress for each count, with x in the home slot, by
+            # public calls: the module itself, or its parent when it is a
+            # leaf at the cap
             g0 = space.graph
             module = st.choose_abstraction(space, syntax).decoder_path
             home = module if len(module) < space.height else module[:-1]
@@ -578,7 +580,8 @@ class TestInsertPoint:
                 else:
                     node["children"].append({"vertex": "x"})
                 tk = st.deserialize(gk, doc)
-                out.append(st.one_dim_entropy(gk) - st.structural_entropy(gk, tk))
+                out.append((st.one_dim_entropy(gk) - st.structural_entropy(gk, tk),
+                            st.compressing_info(gk, tk)))
             return out
 
         cases = [(block_space, {str(i): (0.5 if i < 4 else 0.1) for i in range(8)}, {"b1"})]
@@ -600,8 +603,8 @@ class TestInsertPoint:
         chosen = set()
         for space, sims, syntax in cases:
             _, report = st.insert_point(space, "x", sims, syntax=syntax)
-            d = decodability_by_count(space, sims, syntax)
-            assert report.chosen_k == 1 + d.index(max(d))
+            for d in zip(*information_by_count(space, sims, syntax)):
+                assert report.chosen_k == 1 + d.index(max(d))
             chosen.add(report.chosen_k)
         assert len(chosen) > 2  # the sweep picks more than one count
 

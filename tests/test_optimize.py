@@ -1,4 +1,7 @@
 import random
+import statistics
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,9 @@ from structen.tree import TreeNode, fold
 
 from conftest import (assert_children_ordered, random_connected_graph, random_encoding_tree,
                       two_cliques)
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from inputs import sparse_graph  # the generator of the BENCH_*.json gap rows too
 
 BARBELL_H2 = 1.6995138503199656
 
@@ -361,7 +367,7 @@ class TestTraceContract:
             ([st.TraceStep("merge", (0,), (0,), 0.1)],       # one operand twice
              "trace step 0 (merge 0 0): operands are not two distinct siblings"),
             ([st.TraceStep("merge", (0,), (9,), 0.1)],       # no such node
-             "no node at path 9"),
+             "trace step 0 (merge 0 9): no node at path 9"),
             ([st.TraceStep("combine", (0,), (1, 0), 0.1)],   # not siblings
              "trace step 0 (combine 0 1.0): operands are not two distinct siblings"),
             ([st.TraceStep("flatten", (0,), (), 0.0)],       # a leaf
@@ -573,6 +579,30 @@ class TestBruteForceKd:
             c4 = h1 - st.brute_force_kd(g, 4, max_k=4).entropy
             assert c2 <= c3 + 1e-9
             assert c3 <= c4 + 1e-9
+
+
+class TestOptimalityGap:
+    # The greedy's relative gap (greedy - optimum) / optimum on small sparse
+    # graphs, `sparse_graph(Random(seed), n, 2n)` for seeds 1-40, with its
+    # weights in [0.5, 2) or all 1: no run may beat the exact optimum, and
+    # the mean gap may not rise above the value recorded when this gate was
+    # added.  A change that lowers a mean records the new value here.
+    MEAN_GAP = {("continuous", 2, 10): 0.045115957547, ("continuous", 3, 7): 0.012668436081,
+                ("unit", 2, 10): 0.046807777230, ("unit", 3, 7): 0.019671683360}
+
+    @pytest.mark.parametrize("weights, k, n", list(MEAN_GAP))
+    def test_mean_gap_does_not_rise(self, weights, k, n):
+        gaps = []
+        for seed in range(1, 41):
+            edges = sparse_graph(random.Random(seed), n, 2 * n)
+            if weights == "unit":
+                edges = [(u, v, 1.0) for u, v, _ in edges]
+            g = st.Graph(list(dict.fromkeys(x for u, v, _ in edges for x in (u, v))), edges)
+            greedy = st.minimize_kd(g, k).entropy
+            optimum = st.brute_force_kd(g, k, max_n=n).entropy
+            assert greedy >= optimum - 1e-12, seed
+            gaps.append((greedy - optimum) / optimum)
+        assert statistics.fmean(gaps) <= self.MEAN_GAP[weights, k, n] + 1e-9
 
 
 class TestDecodingInfoK:
