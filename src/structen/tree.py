@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 from .errors import GraphParseError, InvariantViolation
 from .graph import Graph, VertexSet, left_sum
 
-STAT_TOL = 1e-9
+STAT_TOL = 1e-9  # the stale-stats bound of `validate`, as a fraction of vol(G)
 
 NodePath = tuple  # child indices from the root; () is the root itself
 
@@ -259,15 +259,17 @@ def refresh_stats(g: Graph, t: EncodingTree) -> None:
 
 def validate(g: Graph, t: EncodingTree) -> str | None:
     """Ground-truth check of all invariants; returns the first violation or
-    None.  Shape faults come first, in preorder, then stale stats."""
+    None.  Shape faults come first, in preorder, then stale stats: a vol or cut
+    off by more than `STAT_TOL * g.volume`, a bound on rounding at any scale."""
     try:
         nodes, _, vols, cuts = _node_stats(t, g.degree, g.edges, invalid="")
     except InvariantViolation as err:
         return str(err)
+    tol = STAT_TOL * g.volume
     for (path, node), vol, cut in zip(nodes, vols, cuts):
-        if abs(node.vol - vol) > STAT_TOL:
+        if abs(node.vol - vol) > tol:
             return f"stale cached stats (vol {node.vol!r} vs {vol!r}) at {format_path(path)}"
-        if abs(node.cut - cut) > STAT_TOL:
+        if abs(node.cut - cut) > tol:
             return f"stale cached stats (cut {node.cut!r} vs {cut!r}) at {format_path(path)}"
     return None
 

@@ -94,6 +94,17 @@ class TestLoadGraph:
         g = st.Graph.from_index_edges(3, [(np.int64(0), np.int32(2), 1.0), (1, np.int64(2), 2.0)])
         assert g.edges == ((0, 2, 1.0), (1, 2, 2.0))
 
+    def test_large_graph_accepted_whatever_its_sums_round_to(self):
+        # the volume folds the degrees and twice the total weight folds the
+        # edges: with one 2^53 edge first they differ by rounding alone, by
+        # more than 1e-12 of the volume, and the graph is valid all the same
+        n = 20002
+        heavy = (n // 2 - 1, n // 2)
+        edges = [(*heavy, 2.0 ** 53)] + [(i, i + 1, 1.0) for i in range(n - 1) if i != heavy[0]]
+        g = st.Graph.from_index_edges(n, edges)
+        assert len(g.edges) == n - 1 and g.volume == left_sum(g.degree)
+        assert abs(g.volume - 2 * left_sum(w for _, _, w in g.edges)) > 1e-12 * g.volume
+
 
 class TestCutAndConductance:
     def test_cut_k4(self, k4):
@@ -354,6 +365,12 @@ class TestTopkGraph:
         with pytest.raises(InvariantViolation, match="positive pairs"):
             st.build_topk_graph(EXAMPLE_SIM, 7)
 
+    def test_one_ulp_mismatch_is_rounding_not_asymmetry(self):
+        # symmetry is measured on the largest off-diagonal cell, here 2^40
+        big = 2.0 ** 40
+        near = [[0.0, big, 1.0], [math.nextafter(big, math.inf), 0.0, 1.0], [1.0, 1.0, 0.0]]
+        assert positive_pairs(near) == [(big, 0, 1), (1.0, 0, 2), (1.0, 1, 2)]
+
     def test_asymmetric_rejected(self):
         bad = EXAMPLE_SIM.copy()
         bad[0, 1] = 2.0
@@ -452,6 +469,9 @@ BAD_SIMILARITY = {
     "bare string": ("ab", CELL),
     "none matrix": (None, "similarity matrix must be square"),
     "int row": ([[0, 1], 3], "similarity matrix must be square"),
+    # 1 against 5 is asymmetric in any unit, here 2^-40
+    "asymmetric tiny": ([[0.0, 2.0 ** -40], [5 * 2.0 ** -40, 0.0]],
+                        "similarity matrix is not symmetric"),
 }
 
 

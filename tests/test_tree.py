@@ -139,19 +139,26 @@ class TestValidate:
             st.distribution_entropy([0.25] * 4, t)
         assert str(err.value) == f"invalid items tree: {message}"
 
-    @pytest.mark.parametrize("stale, message", [
-        ({(0,): {"cut": 9.0}, (1,): {"vol": 5.0}}, "stale cached stats (cut 9.0 vs 4.0) at 0"),
-        ({(1,): {"vol": 5.0, "cut": 9.0}}, "stale cached stats (vol 5.0 vs 6.0) at 1"),
-        ({(1, 0): {"cut": 0.5}, (): {"vol": 2.0}}, "stale cached stats (vol 2.0 vs 12.0) at root"),
-        ({(1,): {"vol": 0.5}, (0, 1): {"cut": 0.5}},
+    @pytest.mark.parametrize("unit, stale, message", [
+        (1.0, {(0,): {"cut": 9.0}, (1,): {"vol": 5.0}},
+         "stale cached stats (cut 9.0 vs 4.0) at 0"),
+        (1.0, {(1,): {"vol": 5.0, "cut": 9.0}}, "stale cached stats (vol 5.0 vs 6.0) at 1"),
+        (1.0, {(1, 0): {"cut": 0.5}, (): {"vol": 2.0}},
+         "stale cached stats (vol 2.0 vs 12.0) at root"),
+        (1.0, {(1,): {"vol": 0.5}, (0, 1): {"cut": 0.5}},
          "stale cached stats (cut 0.5 vs 3.0) at 0.1"),
-    ], ids=["earlier-node-first", "vol-before-cut", "root-first", "preorder-not-depth"])
-    def test_first_stale_stat_in_preorder(self, k4, stale, message):
-        t = st.from_partition(k4, [{0, 1}, {2, 3}])
+        # a doubled vol is stale in any unit, here with every weight 2^-40
+        (2.0 ** -40, {(0,): {"vol": 12 * 2.0 ** -40}},
+         "stale cached stats (vol 1.0913936421275139e-11 vs 5.4569682106375694e-12) at 0"),
+    ], ids=["earlier-node-first", "vol-before-cut", "root-first", "preorder-not-depth",
+            "doubled-vol-in-a-small-unit"])
+    def test_first_stale_stat_in_preorder(self, k4, unit, stale, message):
+        g = st.Graph.from_index_edges(4, [(u, v, w * unit) for u, v, w in k4.edges])
+        t = st.from_partition(g, [{0, 1}, {2, 3}])
         for path, stats in stale.items():
             for attr, value in stats.items():
                 setattr(t.node_at(path), attr, value)
-        assert st.validate(k4, t) == message
+        assert st.validate(g, t) == message
 
 
 class TestCodeword:
