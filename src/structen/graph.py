@@ -39,6 +39,12 @@ def is_integer(x) -> bool:
     return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def check_integer(x, name: str) -> None:
+    """The check of a count or size guard passed as `name`: `is_integer`."""
+    if not is_integer(x):
+        raise InvariantViolation(f"{name}={x!r} is not an integer")
+
+
 def format_real(x: float) -> str:
     """`x` with 9 decimals, the one format of every real number the package
     prints; a value that rounds to zero prints without a sign."""
@@ -69,7 +75,7 @@ def real_weight(w, what: str) -> float:
 
 def _checked_volume(degree: Sequence[float], connected: bool) -> float:
     """Volume of a graph with these degrees, after the checks on its totals:
-    a finite volume and connectivity; twice the total weight differs only by rounding."""
+    a finite volume and connectivity."""
     volume = left_sum(degree)
     if volume == math.inf:
         raise InvariantViolation("graph volume overflows to inf")
@@ -81,7 +87,7 @@ def _checked_volume(degree: Sequence[float], connected: bool) -> float:
 def _file_edges(index: dict[str, int], edges, degree: list[float]) -> list[tuple[int, int, float]]:
     """`(u id, v id, w)` edges as `(min index, max index, w)`, in order,
     after the checks every edge must pass: both endpoints are vertices, no
-    self-loop, a positive finite real weight, and no repeat within `edges`.
+    self-loop, a finite positive real weight, and no repeat within `edges`.
     Each weight is added to both endpoints' `degree`, a running left fold."""
     out: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
@@ -93,10 +99,10 @@ def _file_edges(index: dict[str, int], edges, degree: list[float]) -> list[tuple
         w = real_weight(w, f"weight on edge {u_id!r}-{v_id!r}")
         if u_id == v_id:
             raise InvariantViolation(f"self-loop at vertex {u_id!r}")
+        if not math.isfinite(w):
+            raise InvariantViolation(f"non-finite weight on edge {u_id!r}-{v_id!r}")
         if not w > 0:
             raise InvariantViolation(f"non-positive weight on edge {u_id!r}-{v_id!r}")
-        if w == math.inf:
-            raise InvariantViolation(f"non-finite weight on edge {u_id!r}-{v_id!r}")
         u, v = index[u_id], index[v_id]
         key = (u, v) if u < v else (v, u)
         if key in seen:
@@ -169,7 +175,8 @@ class Graph:
     def from_index_edges(cls, n: int, edges: Iterable[tuple[int, int, float]],
                          ids: Sequence[str] | None = None) -> "Graph":
         """Build from integer-indexed edges; ids default to "0".."n-1".
-        Every endpoint must be an integer in range(n), not a bool."""
+        n and every endpoint must be integers, not bools; each endpoint in range(n)."""
+        check_integer(n, "n")
         ids = tuple(ids) if ids is not None else tuple(str(i) for i in range(n))
         if len(ids) != n:
             raise InvariantViolation(f"expected {n} vertex ids, got {len(ids)}")
@@ -275,6 +282,7 @@ def conductance_exact(g: Graph, max_n: int = 24) -> tuple[float, VertexSet]:
     lexicographically smallest membership vector wins.  Cost is
     O(2^(n-1) * (n + m)), hence the configurable size guard.
     """
+    check_integer(max_n, "max_n")
     n = g.n
     if n > max_n:
         raise SizeGuardExceeded(f"conductance enumeration limited to {max_n} vertices (got {n})")
@@ -375,8 +383,7 @@ def build_topk_graph(sim, k: int, ids: Sequence[str] | None = None) -> Graph:
     """
     pairs = positive_pairs(sim)
     n = len(sim)
-    if not is_integer(k):
-        raise InvariantViolation(f"k={k!r} is not an integer")
+    check_integer(k, "k")
     if not 1 <= k <= len(pairs):
         raise InvariantViolation(f"k={k} but only {len(pairs)} positive pairs are available")
     k_min = smallest_connected(n, pairs)

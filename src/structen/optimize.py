@@ -49,8 +49,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import GraphParseError, InvariantViolation, SizeGuardExceeded
-from .graph import (Graph, format_real, is_integer, left_sum, one_dim_entropy, parse_real,
-                    real_weight, vertex_set)
+from .graph import (Graph, check_integer, format_real, is_integer, left_sum, one_dim_entropy,
+                    parse_real, real_weight, vertex_set)
 from .metrics import cached_entropy, structural_entropy
 from .tree import (EncodingTree, TreeNode, build_tree, check_valid, format_path, parse_path,
                    refresh_stats, star_tree)
@@ -574,7 +574,7 @@ def brute_force_2d(g: Graph, max_n: int | None = None) -> OptimizeResult:
     return brute_force_kd(g, 2, max_n=max_n)
 
 
-def brute_force_kd(g: Graph, k: int, max_n: int | None = None, max_k: int = 3) -> OptimizeResult:
+def brute_force_kd(g: Graph, k: int, max_n: int | None = None) -> OptimizeResult:
     """Exact optimum over all encoding trees of height at most k, by a subset DP.
 
     F(S, h), the least cost of a subtree on marker S within height h, is the
@@ -586,16 +586,17 @@ def brute_force_kd(g: Graph, k: int, max_n: int | None = None, max_k: int = 3) -
 
     Tie rule: among the trees whose cost is within DELTA_TOL of the optimum,
     the first in canonical order wins: children by marker as a sorted tuple,
-    compared depth-first.  The guards are configurable: `max_n` defaults
-    to 10 vertices at height 2 and 6 above, and `max_k` to 3.
+    compared depth-first.  The size guard `max_n` defaults to 10 vertices
+    at height 2 and 6 above.  Any k of at least 2 is taken: no partition
+    tree over n vertices is taller than n - 1, so k is clamped there.
     """
     _check_height(k)
     if max_n is None:
         max_n = 10 if k == 2 else 6
+    check_integer(max_n, "max_n")
     if g.n > max_n:
         raise SizeGuardExceeded(f"exact oracle limited to {max_n} vertices (got {g.n})")
-    if k > max_k:
-        raise SizeGuardExceeded(f"exact oracle limited to height {max_k} (got {k})")
+    k = min(k, max(2, g.n - 1))
     n, vol = g.n, g.volume
     masks = range(1 << n)
     vols = [0.0] * len(masks)

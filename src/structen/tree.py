@@ -11,7 +11,7 @@ from operator import attrgetter
 from typing import Callable, Iterator
 
 from .errors import GraphParseError, InvariantViolation
-from .graph import Graph, VertexSet, left_sum
+from .graph import Graph, VertexSet, is_integer, left_sum
 
 STAT_TOL = 1e-9  # the stale-stats bound of `validate`, as a fraction of vol(G)
 
@@ -72,7 +72,7 @@ class EncodingTree:
     def node_at(self, path) -> TreeNode:
         node = self.root
         for i in path:
-            if not 0 <= i < len(node.children):
+            if not (is_integer(i) and 0 <= i < len(node.children)):
                 raise InvariantViolation(f"no node at path {format_path(path)}")
             node = node.children[i]
         return node
@@ -155,8 +155,8 @@ def from_partition(g: Graph, parts) -> EncodingTree:
 
 
 def build_tree(g: Graph, spec) -> EncodingTree:
-    """Build a tree from a nested spec: an int is a leaf, a list/tuple a node;
-    any other value, a bool included, raises InvariantViolation.
+    """Build a tree from a nested spec: an `is_integer` value is a leaf, stored
+    as an int, a list/tuple a node; any other value, a bool too, raises InvariantViolation.
 
     Example: [[0, 1], [2, [3, 4]]] is a height-3 tree over 5 vertices.
     Each marker is the union of its children's, and the stats are computed
@@ -165,8 +165,8 @@ def build_tree(g: Graph, spec) -> EncodingTree:
     """
 
     def node(s, children) -> TreeNode:
-        if isinstance(s, int):
-            return TreeNode((s,))
+        if is_integer(s):
+            return TreeNode((int(s),))
         if not children:
             raise InvariantViolation("empty node spec")
         return TreeNode(frozenset().union(*(c.vertices for c in children)), children=children)
@@ -179,7 +179,7 @@ def build_tree(g: Graph, spec) -> EncodingTree:
 def _spec_children(s):
     if isinstance(s, (list, tuple)):
         return s
-    if isinstance(s, int) and not isinstance(s, bool):
+    if is_integer(s):
         return ()
     raise InvariantViolation(f"bad node spec {s!r}")
 
@@ -281,8 +281,8 @@ def check_valid(g: Graph, t: EncodingTree) -> None:
 
 
 def codeword(t: EncodingTree, v: int) -> NodePath:
-    """Path of the unique leaf whose marker is {v}."""
-    if v not in t.root.vertices:
+    """Path of the unique leaf whose marker is {v}, an `is_integer` vertex."""
+    if not (is_integer(v) and v in t.root.vertices):
         raise InvariantViolation(f"unknown vertex {v!r}")
     path: list[int] = []
     node = t.root

@@ -125,6 +125,13 @@ class TestEntropyCommand:
         code, _, err = run(capsys, "entropy", "--graph", inf, "--dim", 2)
         assert code == 2 and "non-finite" in err
 
+    def test_nan_weight_is_non_finite(self, files, capsys):
+        for w, fault in (("nan", "non-finite"), ("-1.0", "non-positive")):
+            bad = files / "weight.tsv"
+            bad.write_text(f"a b {w}\n", encoding="utf-8")
+            assert run(capsys, "entropy", "--graph", bad) == \
+                (2, "", f"error: {fault} weight on edge 'a'-'b'\n")
+
     def test_invalid_tree_exit_2(self, files, capsys):
         doc = {"children": [
             {"children": [{"vertex": "a"}, {"vertex": "b"}]},
@@ -262,6 +269,13 @@ class TestOracleCommand:
         g = st.load_graph(files / "barbell.tsv")
         tree = st.deserialize(g, json.loads(out_tree.read_text(encoding="utf-8")))
         assert tree == st.brute_force_kd(g, 3).tree and tree.height() == 3
+
+    def test_any_height_within_the_size_guard(self, files, capsys):
+        # no tree over the barbell's 6 vertices is taller than 5
+        code, out, err = run(capsys, "oracle", "--graph", files / "barbell.tsv", "--height", 4)
+        assert (code, err) == (0, "")
+        assert run(capsys, "oracle", "--graph", files / "barbell.tsv", "--height", 9) == \
+            run(capsys, "oracle", "--graph", files / "barbell.tsv", "--height", 5)
 
     def test_size_guard_exit_3(self, files, capsys):
         ring = files / "ring12.tsv"

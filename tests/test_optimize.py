@@ -499,10 +499,18 @@ class TestBruteForceKd:
     def test_guards(self, barbell):
         with pytest.raises(SizeGuardExceeded):
             st.brute_force_kd(two_cliques(4), 3)
-        with pytest.raises(SizeGuardExceeded):
-            st.brute_force_kd(barbell, 4)
         with pytest.raises(InvariantViolation, match="^height cap must be at least 2$"):
             st.brute_force_kd(barbell, 1)
+
+    def test_heights_from_n_minus_1_give_one_tree(self):
+        # no partition tree over n vertices is taller than n - 1
+        rng = random.Random(28)
+        for i in range(12):
+            g = random_connected_graph(rng, 3, 6, weighted=i % 2 == 0)
+            top = st.brute_force_kd(g, max(2, g.n - 1))
+            for k in range(g.n, g.n + 3):
+                res = st.brute_force_kd(g, k)
+                assert res.tree == top.tree and repr(res.entropy) == repr(top.entropy)
 
     def test_height_2_guard_is_10_vertices(self):
         g = random_connected_graph(random.Random(27), 9, 9)
@@ -569,14 +577,14 @@ class TestBruteForceKd:
                 assert exact.entropy <= st.minimize_kd(g, 3).entropy + 1e-12
 
     def test_monotone_chain_2_3_4(self):
-        # height caps only widen the search space (guards lifted locally)
+        # height caps only widen the search space
         rng = random.Random(27)
         for _ in range(8):
             g = random_connected_graph(rng, 4, 6)
             h1 = st.one_dim_entropy(g)
             c2 = h1 - st.brute_force_2d(g).entropy
             c3 = h1 - st.brute_force_kd(g, 3).entropy
-            c4 = h1 - st.brute_force_kd(g, 4, max_k=4).entropy
+            c4 = h1 - st.brute_force_kd(g, 4).entropy
             assert c2 <= c3 + 1e-9
             assert c3 <= c4 + 1e-9
 
