@@ -6,7 +6,7 @@ Each row times one structen call on a fixed seeded input from
 benchmarks/inputs.py (read only, shared with the gated benchmark):
 
   - `minimize_kd` on `sparse_graph(Random(1), n, 3n)` for n in {200, 400,
-    1000} and on `path_graph(Random(1), 300)`, at k in {2, 3};
+    1000, 2000} and on `path_graph(Random(1), 300)`, at k in {2, 3};
   - `build_data_space` at height 2 on `planted_blocks(Random(1), 4, n/4)`
     for n in {16, 24}, with an empty feature catalog;
   - a chain of 60 `insert_point` calls on `inputs.point` requests, 15 to
@@ -52,7 +52,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-SPARSE_N = (200, 400, 1000)
+SPARSE_N = (200, 400, 1000, 2000)
 PATH_N = 300
 PLANTED_N = (16, 24)
 INSERTS = 60

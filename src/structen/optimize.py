@@ -23,12 +23,14 @@ The phases are incremental and share one state per run (`_Shape`), built
 from the star: a parent map, cached subtree heights and min vertices,
 updated along the changed path only, for every sibling pair its row of
 edges with their weight, and one stamp per node.  `merge_delta` and
-`combine_apply` build the same state over a given tree.  `_Shape` owns
-the step operators: `pair` merges or combines two siblings and `flatten`
-promotes a node's children; every phase and `replay_trace` apply steps
-through them, and they renew the stamp of every node that moved or whose
-children changed.  Each phase keeps a heap of candidates keyed by the
-tie-break, invalidated lazily by those stamps.  A merge or combine
+`combine_apply` build the same state over a given tree.  `_Shape` is the
+one home of the rules of a step: `siblings` resolves two operand paths,
+`pair` (merge or combine) refuses to leave a parent one child, `flatten`
+refuses a leaf, and `fits` is the height cap; only `merge_delta`'s flat
+rule and `replay_trace`'s checks of a record live outside, and the greedy
+skips the pairs they refuse.  The operators renew the stamp of every node
+that moved or whose children changed.  Each phase keeps a heap of
+candidates keyed by the tie-break, invalidated lazily by those stamps.  A merge or combine
 re-scores only the pairs it touched: the new node with its siblings, the
 pairs under a fused node (their parent volume changed), and the parent
 with its own siblings (its children changed).  A flatten re-scores the
@@ -113,17 +115,15 @@ def merge_delta(g: Graph, t: EncodingTree, a, b) -> float:
     Positive means the merge improves.  Depends only on the two modules'
     volumes, cuts, their cross weight, the parent volume and vol(G).
     """
-    pa, pb = tuple(a), tuple(b)
-    if not pa or not pb or pa[:-1] != pb[:-1] or pa == pb:
-        raise InvariantViolation("merge_delta needs two distinct sibling nodes")
     check_valid(g, t)
     shape = _Shape(g, t)
-    na, nb = t.node_at(pa), t.node_at(pb)
+    up, i, j = shape.siblings(a, b)
+    na, nb = up.children[i], up.children[j]
     if max(shape.height[na], shape.height[nb]) > 1:
         raise InvariantViolation("merge_delta needs flat modules (children must be leaves)")
     row = shape.rows[na].get(nb)
     w = 0.0 if row is None else row.w
-    return _flat_merge_delta(g.volume, shape.parent[na].vol, na.vol, na.cut, nb.vol, nb.cut, w)
+    return _flat_merge_delta(g.volume, up.vol, na.vol, na.cut, nb.vol, nb.cut, w)
 
 
 def _general_merge_delta(vol: float, v_parent: float, a: TreeNode, b: TreeNode, w_ab: float,
@@ -150,23 +150,15 @@ def _general_merge_delta(vol: float, v_parent: float, a: TreeNode, b: TreeNode, 
 
 def combine_apply(g: Graph, t: EncodingTree, a, b, height_cap: int | None = None) -> EncodingTree:
     """Insert a new parent above siblings a and b; returns a new tree."""
-    pa, pb = tuple(a), tuple(b)
-    if not pa or not pb or pa[:-1] != pb[:-1] or pa == pb:
-        raise InvariantViolation("combine_apply needs two distinct sibling nodes")
     check_valid(g, t)
     shape = _Shape(g, t.copy())
-    parent = shape.tree.node_at(pa[:-1])
-    if len(parent.children) < 3:
-        raise InvariantViolation("combine would leave the parent with a single child")
-    na, nb = shape.tree.node_at(pa), shape.tree.node_at(pb)
+    up, i, j = shape.siblings(a, b)
     if height_cap is not None:
         _check_height(height_cap)
-        depth = len(pa) - 1
-        new_height = depth + 2 + max(shape.height[na], shape.height[nb])
-        if new_height > height_cap:
-            raise InvariantViolation(f"height cap exceeded ({new_height} > {height_cap})")
-    shape.pair(1, parent, pa[-1], pb[-1])
-    parent.children.sort(key=shape.low.__getitem__)  # a user's tree may be unordered
+        if not shape.fits(up.children[i], up.children[j], up, height_cap)[1]:
+            raise InvariantViolation(f"combine exceeds the height cap {height_cap}")
+    shape.pair(1, up, i, j)
+    up.children.sort(key=shape.low.__getitem__)  # a user's tree may be unordered
     return shape.tree
 
 
@@ -197,14 +189,16 @@ class _Shape:
     between siblings x and y (rows[y][x] is the same row), its weight
     extended by every append; and one `stamp` per live node, renewed
     whenever the node moves or its children change, so that a heap entry
-    scored before the change can tell it is stale.  `pair` (given a parent
-    and two child positions its caller has checked) and `flatten`, the
-    only step operators, keep every child list that was in `low` order in
-    it.  Each kind of edit has one home: `split` files every edge under its
-    sibling pair, a starting tree's (the star's too) at branch points, but
-    a combine keeps its operands' row whole, as all of its edges join the
-    two; `pair` alone re-keys rows onto a new node, refolding two rows it
-    joins; and past the start, `adopt` sets every parent link and stamp."""
+    scored before the change can tell it is stale.  `siblings` checks two
+    operand paths and `fits` the height cap; `pair` (given the parent and
+    two positions `siblings` returns) and `flatten`, the only step
+    operators, check their operands before any edit and keep every child
+    list that was in `low` order in it.  Each kind of edit has one home:
+    `split` files every edge under its sibling pair, a starting tree's (the
+    star's too) at branch points, but a combine keeps its operands' row
+    whole, as all of its edges join the two; `pair` alone re-keys rows onto
+    a new node, refolding two rows it joins; and past the start, `adopt`
+    sets every parent link and stamp."""
 
     __slots__ = ("tree", "edges", "leaf", "parent", "height", "low", "rows", "stamp", "tick")
 
@@ -236,12 +230,25 @@ class _Shape:
         self.tick = itertools.count()
         self.stamp: dict[TreeNode, int] = {node: next(self.tick) for node in order}
 
-    def depth(self, node: TreeNode) -> int:
-        d = 0
-        while node in self.parent:
-            node = self.parent[node]
-            d += 1
-        return d
+    def siblings(self, a, b) -> tuple[TreeNode, int, int]:
+        """The parent of two distinct sibling paths and their positions
+        under it; every path resolves through `node_at`."""
+        a, b = tuple(a), tuple(b)
+        if not a or not b or a[:-1] != b[:-1] or a == b:
+            raise InvariantViolation("operands are not two distinct siblings")
+        up, _, _ = map(self.tree.node_at, (a[:-1], a, b))
+        return up, a[-1], b[-1]
+
+    def fits(self, a: TreeNode, b: TreeNode, up: TreeNode, k: int) -> tuple[bool, bool]:
+        """Whether a merge and a combine of siblings a and b under `up` fit
+        height k, a merge in a tree within k.  Depth and heights never shrink
+        within a greedy phase, so a pair that fails once fails for good."""
+        room = k - 2  # levels a new child of `up` may hold below it
+        while up in self.parent:
+            up = self.parent[up]
+            room -= 1
+        ha, hb = self.height[a], self.height[b]
+        return room >= 0 or 0 < ha and 0 < hb, max(ha, hb) <= room
 
     def path(self, node: TreeNode) -> tuple[int, ...]:
         out = []
@@ -255,6 +262,8 @@ class _Shape:
         """Merge (kind 0) or combine (kind 1) children i and j of `up`; the
         new node takes the earlier slot and is returned.  The weight between
         the two is their row's, the one `score` read."""
+        if len(up.children) < 3:
+            raise InvariantViolation("would leave the parent with a single child")
         rows, a, b = self.rows, up.children[i], up.children[j]
         between = rows[a].pop(b, None)  # None: only a replayed step, never the greedy
         rows[b].pop(a, None)
@@ -292,6 +301,8 @@ class _Shape:
     def flatten(self, node: TreeNode) -> None:
         """Promote an internal node's children to its parent, in `low`
         order, and forget the node."""
+        if node.is_leaf:
+            raise InvariantViolation("cannot flatten a leaf")
         up = self.parent[node]
         up.children = [c for c in up.children if c is not node] + node.children
         up.children.sort(key=self.low.__getitem__)
@@ -371,14 +382,6 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
     pushes = itertools.count()
     heap: list[tuple] = []
 
-    def fits(a: TreeNode, b: TreeNode, up: TreeNode) -> tuple[bool, bool]:
-        # Whether a merge and a combine of a and b fit the height cap k.
-        # Depth and heights never shrink within a phase, so a pair that
-        # fails it once fails it for good.
-        room = k - 2 - shape.depth(up)  # levels a new child of `up` may hold below it
-        ha, hb = height[a], height[b]
-        return room >= 0 or 0 < ha and 0 < hb, max(ha, hb) <= room
-
     def child_terms(a: TreeNode) -> list[float]:
         got = terms.get(a)
         if got is None or got[0] != stamp[a]:
@@ -395,7 +398,7 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
             a, b, la, lb = b, a, lb, la
         w = rows[a][b].w
         ha, hb = height[a], height[b]
-        merges, combines = (True, True) if k is None else fits(a, b, up)
+        merges, combines = (True, True) if k is None else shape.fits(a, b, up, k)
         dm = dc = 0.0
         if merges:
             if ha <= 1 and hb <= 1:
@@ -434,7 +437,7 @@ def _greedy_phase(g: Graph, shape: _Shape, k: int | None,
         if stamp.get(a) != sa or stamp.get(b) != sb:
             continue
         up = parent[a]
-        if len(up.children) < 3 or k is not None and not fits(a, b, up)[kind]:
+        if len(up.children) < 3 or k is not None and not shape.fits(a, b, up, k)[kind]:
             continue
         ppath, i, j = shape.path(up), up.children.index(a), up.children.index(b)
         trace.append(TraceStep(_STEP_KINDS[kind], ppath + (i,), ppath + (j,), -neg_d))
@@ -542,23 +545,16 @@ def replay_trace(g: Graph, trace) -> EncodingTree:
         where = f"trace step {i} ({step.kind} {format_path(step.a)} {format_path(step.b)})"
         if step.kind not in _STEP_KINDS or not step.a:
             raise InvariantViolation(f"{where}: not a step the optimizer takes")
-        flatten = step.kind == "flatten"
-        if flatten and step.b != step.a[:-1]:
-            raise InvariantViolation(f"{where}: the second path must be the parent")
-        if not flatten and (step.a[:-1] != step.b[:-1] or step.a == step.b):
-            raise InvariantViolation(f"{where}: operands are not two distinct siblings")
-        try:  # a bad path raises before the edit
-            parent, node, _ = map(t.node_at, (step.a[:-1], step.a, step.b))
+        try:  # every check raises before the edit
+            if step.kind != "flatten":
+                shape.pair(_STEP_KINDS.index(step.kind), *shape.siblings(step.a, step.b))
+            elif step.b != step.a[:-1]:
+                raise InvariantViolation("the second path must be the parent")
+            else:  # the parent resolves first, so a bad path is named at its shortest
+                _, node = map(t.node_at, (step.b, step.a))
+                shape.flatten(node)
         except InvariantViolation as err:
             raise InvariantViolation(f"{where}: {err}") from None
-        if flatten:
-            if node.is_leaf:
-                raise InvariantViolation(f"{where}: cannot flatten a leaf")
-            shape.flatten(node)
-        else:
-            if len(parent.children) < 3:
-                raise InvariantViolation(f"{where}: would leave the parent with a single child")
-            shape.pair(_STEP_KINDS.index(step.kind), parent, step.a[-1], step.b[-1])
         refresh_stats(g, t)
         h_after = cached_entropy(t, g.volume)
         if not abs((h - h_after) - step.delta) <= REPLAY_TOL:
@@ -681,6 +677,7 @@ def compressing_ratio_k(g: Graph, k: int) -> float:
 
 def is_compressible(g: Graph, n: int, k: int, rho: float) -> bool:
     """Whether g is an (n, k, rho)-compressible graph."""
+    check_integer(n, "n")
     if not 0 < real_weight(rho, "rho") < 1:
         raise InvariantViolation("rho must lie in (0, 1)")
     _check_height(k)

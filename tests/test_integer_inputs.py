@@ -11,8 +11,11 @@ import pytest
 import structen as st
 from structen import InvariantViolation, TraceStep
 
+from conftest import two_cliques
+
 C4 = st.Graph.from_index_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
 STAR = st.star_tree(C4)
+BARBELL = two_cliques(3)
 
 
 def leaf_types(t):
@@ -61,6 +64,14 @@ INTEGER_INPUTS = {
         "n=3.0 is not an integer"),
     "index graph of n True": (lambda: st.Graph.from_index_edges(True, [(0, 1, 1.0)]),
                               "n=True is not an integer"),
+    "compressible at n 6.0": (lambda: st.is_compressible(BARBELL, 6.0, 2, 0.3),
+                              "n=6.0 is not an integer"),
+    "compressible at n '6'": (lambda: st.is_compressible(BARBELL, "6", 2, 0.3),
+                              "n='6' is not an integer"),
+    "compressible at n None": (lambda: st.is_compressible(BARBELL, None, 2, 0.3),
+                               "n=None is not an integer"),
+    "compressible at n True": (lambda: st.is_compressible(BARBELL, True, 2, 0.3),
+                               "n=True is not an integer"),
     # a NaN weight is non-finite, not non-positive
     "NaN edge weight": (lambda: st.Graph(["a", "b"], [("a", "b", math.nan)]),
                         "non-finite weight on edge 'a'-'b'"),

@@ -168,6 +168,15 @@ class TestAbstractionTree:
         assert all(c.is_leaf for c in at.root.children)
         assert len(at.root.children) == 4
 
+    def test_a_repeated_feature_set_is_reported(self):
+        # hand-built: the leaf below node (1,) repeats that node's features
+        def node(features, vertices, children=()):
+            return FeatureNode(frozenset(features), frozenset(vertices), (), list(children))
+
+        at = AbstractionTree(node({"a"}, {0, 1}, [
+            node({"a", "x"}, {0}), node({"a", "b"}, {1}, [node({"a", "b"}, {1})])]))
+        assert check_strict_growth(at) == "feature sets do not grow strictly below (1,)"
+
     def test_strict_growth_on_random_catalogs(self):
         rng = random.Random(31)
         for _ in range(100):

@@ -10,8 +10,8 @@ from structen import GraphParseError, InvariantViolation, SizeGuardExceeded
 from structen.optimize import cross_weight
 from structen.tree import TreeNode, fold
 
-from conftest import (assert_children_ordered, random_connected_graph, random_encoding_tree,
-                      two_cliques)
+from conftest import (assert_children_ordered, complete_graph, random_connected_graph,
+                      random_encoding_tree, two_cliques)
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from inputs import sparse_graph  # the generator of the BENCH_*.json gap rows too
@@ -637,6 +637,9 @@ class TestDecodingInfoK:
 
 CYCLE4 = st.Graph.from_index_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
 HEAVY_CYCLE4 = st.Graph.from_index_edges(4, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+K4 = complete_graph(4)
+K4_PAIRED = st.build_tree(K4, [[0, 1], 2, 3])  # the first combine of `test_chain_height_cap`
+BARBELL_HALVES = st.from_partition(two_cliques(3), [{0, 1, 2}, {3, 4, 5}])
 
 INPUT_CHECKS = {
     # id -> (call, message); each call raises InvariantViolation
@@ -675,6 +678,18 @@ INPUT_CHECKS = {
     "combine on stale stats": (
         lambda: st.combine_apply(CYCLE4, st.star_tree(HEAVY_CYCLE4), (0,), (1,)),
         "invalid encoding tree: stale cached stats (vol 10.0 vs 8.0) at root"),
+    # `_Shape` decides every step rule, with one message per fault
+    "merge_delta on one path twice": (
+        lambda: st.merge_delta(CYCLE4, st.star_tree(CYCLE4), (0,), (0,)),
+        "operands are not two distinct siblings"),
+    "combine_apply on non-siblings": (lambda: st.combine_apply(K4, K4_PAIRED, (0, 0), (1,)),
+                                      "operands are not two distinct siblings"),
+    "combine_apply under a two-child parent": (
+        lambda: st.combine_apply(two_cliques(3), BARBELL_HALVES, (0,), (1,)),
+        "would leave the parent with a single child"),
+    "combine_apply over the height cap": (
+        lambda: st.combine_apply(K4, K4_PAIRED, (0,), (1,), height_cap=2),
+        "combine exceeds the height cap 2"),
     "cross weight from vertex -1": (lambda: cross_weight(CYCLE4, {-1}, {0}),
                                     "subset contains an out-of-range vertex"),
     "cross weight of overlapping sets": (lambda: cross_weight(CYCLE4, {0, 1}, {1, 2}),

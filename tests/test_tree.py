@@ -177,6 +177,14 @@ class TestCodeword:
         with pytest.raises(InvariantViolation, match="unknown vertex"):
             st.codeword(st.star_tree(k4), 9)
 
+    def test_lost_vertex(self):
+        # hand-built: node 1 holds vertex 2, but none of its children does
+        t = st.EncodingTree(TreeNode({0, 1, 2}, children=[
+            TreeNode({0}), TreeNode({1, 2}, children=[TreeNode({1})])]))
+        with pytest.raises(InvariantViolation) as err:
+            st.codeword(t, 2)
+        assert str(err.value) == "vertex 2 lost below 1"
+
 
 class TestStructuralProperties:
     def test_markers_strictly_nested_and_volumes_additive(self):
